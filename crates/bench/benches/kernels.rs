@@ -400,7 +400,7 @@ fn main() {
     }));
 
     // The online-service loop: one complete steady-state serve run —
-    // seeded arrivals through the bounded queue, beam placement priced on
+    // seeded arrivals into the bounded waiting pool, beam placement priced on
     // the live predicted model, inline twin refits — at small scale. The
     // per-iteration time over 200 jobs is the steady-state cost per job a
     // live deployment pays for the whole loop.

@@ -5,7 +5,7 @@
 //! The paper's schedulers are evaluated offline: a full rate table in,
 //! a throughput or latency figure out. This experiment closes the loop
 //! the way a datacentre node would have to: jobs arrive over time, the
-//! dispatcher prices candidate coschedules through a *predicted* model
+//! placer prices candidate coschedules through a *predicted* model
 //! that starts out knowing only the cheap small co-runs, and every
 //! completed coschedule feeds a measurement back into the twin
 //! ([`serve::TwinLoop`]), which refits in the background and steers
@@ -51,7 +51,7 @@ pub const LOAD_FACTOR: f64 = 0.80;
 /// One placer's scorecard over the shared arrival stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacerRow {
-    /// Placer name as reported by the dispatcher.
+    /// Placer name as reported by the run.
     pub placer: String,
     /// Completed jobs per unit virtual time.
     pub jobs_per_time: f64,
@@ -59,7 +59,7 @@ pub struct PlacerRow {
     pub throughput: f64,
     /// Mean slowdown (turnaround over solo execution time).
     pub mean_slowdown: f64,
-    /// Jobs shed at the full queue.
+    /// Jobs shed at the full waiting pool.
     pub rejected: u64,
     /// Twin refits performed during the run.
     pub refits: usize,

@@ -5,9 +5,7 @@
 //! the [`experiments::Experiment`] trait and is listed in
 //! [`experiments::REGISTRY`], so the unified driver binary runs any of
 //! them by name (`cargo run --release -p paperbench --bin paperbench --
-//! fig1`, or `-- all` for every artefact); the historical per-experiment
-//! binaries (`--bin fig1`, ...) survive as thin shims over the same
-//! registry.
+//! fig1`, or `-- all` for every artefact).
 //!
 //! All experiments accept a [`StudyConfig`]; `--fast` produces test-scale
 //! runs, the default reproduces the paper-scale sweep (full simulator

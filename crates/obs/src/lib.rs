@@ -70,9 +70,9 @@
 //! | dist | `dist.worker.table_cache_write_failed` | event (warn) | worker table-cache write failure |
 //! | dist | `chaos.drop` / `chaos.delay` / `chaos.duplicate` / `chaos.corrupt` / `chaos.hang` / `chaos.crash` | counter | `ChaosTransport` fault injection |
 //! | serve | `serve.run` | span | whole `run_serve` |
-//! | serve | `serve.queue_depth` | gauge (peak) | run loop, before each drain |
-//! | serve | `serve.shed` | counter | arrivals bounced by the full queue |
-//! | serve | `serve.place_us` | histogram | dispatcher fill latency |
+//! | serve | `serve.queue_depth` | gauge (peak) | jobs waiting for a context, set after each event before placement |
+//! | serve | `serve.shed` | counter | arrivals shed because `queue_capacity` jobs were waiting |
+//! | serve | `serve.place_us` | histogram | placement (fill) latency per event |
 //! | serve | `twin.refit_us` | histogram | model refit duration (inline or worker) |
 //! | serve | `twin.refits` / `twin.refit_failures` | counter | twin loop |
 //! | serve | `serve.breaker_open` / `serve.breaker_close` | event (debug) | circuit-breaker transitions |

@@ -7,7 +7,11 @@
 //! **empty time** when jobs arrive over time?
 //!
 //! * [`run_latency_experiment`] — a discrete-event simulation with Poisson
-//!   arrivals and coschedule-dependent service rates;
+//!   arrivals and coschedule-dependent service rates, and
+//!   [`run_batch_experiment`], the same event loop over a fixed batch;
+//! * [`Running`] — the step both advance work with (also driven by the
+//!   `serve` crate's online loop): rates of the running multiset, time to
+//!   the next completion, and completion;
 //! * the four policies of the paper: [`FcfsScheduler`], [`MaxItScheduler`]
 //!   (maximise instantaneous throughput), [`SrptScheduler`] (shortest total
 //!   remaining processing time) and [`MaxTpScheduler`] (follow the
@@ -19,8 +23,7 @@
 //! Performance data is supplied through the workspace-wide
 //! [`symbiosis::RateModel`] trait (re-exported here), implemented by the
 //! `workloads` crate for simulated tables and by [`ContentionModel`] for
-//! analytic toy systems. The crate-local `CoscheduleRates` trait this crate
-//! used to define is a deprecated alias of `RateModel`.
+//! analytic toy systems.
 //!
 //! # Examples
 //!
@@ -63,8 +66,5 @@ pub use rates::ContentionModel;
 pub use sched::{FcfsScheduler, MaxItScheduler, MaxTpScheduler, Scheduler, SrptScheduler};
 pub use sim::{
     run_batch_experiment, run_latency_experiment, BatchConfig, BatchReport, LatencyConfig,
-    LatencyReport, SizeDist,
+    LatencyReport, Running, SizeDist,
 };
-
-#[allow(deprecated)]
-pub use rates::CoscheduleRates;

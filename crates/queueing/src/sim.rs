@@ -4,12 +4,117 @@
 //! run at coschedule-dependent rates chosen by a pluggable [`Scheduler`].
 //! Between events (arrival / completion) the running coschedule is fixed,
 //! so time advances analytically to the next event — no time-stepping.
+//!
+//! [`Running`] is that advance step. The latency and batch experiments
+//! here share one event loop over it, and `serve::run_serve` drives it
+//! directly, so every event loop in the workspace advances work and
+//! decides completion in one place.
 
 use symbiosis::rng::SplitMix64;
 use symbiosis::RateModel;
 
 use crate::job::{Job, JobPool};
 use crate::sched::Scheduler;
+
+/// Remaining work at or below which a running job counts as finished.
+const DONE_EPS: f64 = 1e-12;
+
+/// The running coschedule between two events.
+///
+/// Between events the running multiset is fixed, so every running job
+/// progresses at the per-job rate its type gets in that multiset. After
+/// the running set changes, [`Running::price`] prices it once (one
+/// [`RateModel::per_job_rate`] per present type) and returns the time to
+/// the next completion; [`Running::advance`] then moves every job forward
+/// by the elapsed time at those rates.
+#[derive(Debug, Clone)]
+pub struct Running {
+    jobs: Vec<Job>,
+    counts: Vec<u32>,
+    rates: Vec<f64>,
+}
+
+impl Running {
+    /// An empty machine for `num_types` job types.
+    pub fn new(num_types: usize) -> Self {
+        Running {
+            jobs: Vec::new(),
+            counts: vec![0; num_types],
+            rates: vec![0.0; num_types],
+        }
+    }
+
+    /// Starts `job` on a context. Call [`Running::price`] before the next
+    /// [`Running::advance`].
+    pub fn start(&mut self, job: Job) {
+        self.counts[job.ty] += 1;
+        self.jobs.push(job);
+    }
+
+    /// Stops every running job.
+    pub fn clear(&mut self) {
+        self.jobs.clear();
+        self.counts.fill(0);
+    }
+
+    /// Running jobs, in start order.
+    pub fn jobs(&self) -> &[Job] {
+        &self.jobs
+    }
+
+    /// The running multiset, as per-type counts.
+    pub fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// Number of running jobs (busy contexts).
+    pub fn len(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// True when no job runs.
+    pub fn is_empty(&self) -> bool {
+        self.jobs.is_empty()
+    }
+
+    /// The per-job rate of type `ty` in the multiset last priced.
+    pub fn rate(&self, ty: usize) -> f64 {
+        self.rates[ty]
+    }
+
+    /// Prices the running multiset under `model` and returns the time
+    /// until the first running job completes (infinite when idle).
+    pub fn price(&mut self, model: &dyn RateModel) -> f64 {
+        for (ty, &count) in self.counts.iter().enumerate() {
+            if count > 0 {
+                let rate = model.per_job_rate(&self.counts, ty);
+                debug_assert!(rate > 0.0, "running jobs must progress");
+                self.rates[ty] = rate;
+            }
+        }
+        self.jobs
+            .iter()
+            .map(|job| job.remaining / self.rates[job.ty])
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Advances every running job by `dt` at the priced rates and moves
+    /// the finished ones (remaining work at or below 1e-12) to `done`, in
+    /// start order.
+    pub fn advance(&mut self, dt: f64, done: &mut Vec<Job>) {
+        let (rates, counts) = (&self.rates, &mut self.counts);
+        self.jobs.retain_mut(|job| {
+            job.remaining -= rates[job.ty] * dt;
+            if job.remaining <= DONE_EPS {
+                counts[job.ty] -= 1;
+                done.push(job.clone());
+                false
+            } else {
+                true
+            }
+        });
+    }
+}
 
 /// Distribution of job sizes (work per job).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,123 +224,172 @@ pub fn run_latency_experiment(
                 .into(),
         );
     }
-    let n_types = rates.num_types();
-    let contexts = rates.contexts();
     let mut rng = SplitMix64::new(config.seed);
+    let mean_gap = 1.0 / config.arrival_rate;
+    let next = rng.next_exp(mean_gap);
+    let arrivals = Arrivals {
+        next,
+        rng,
+        mean_gap,
+        sizes: config.sizes,
+        num_types: rates.num_types() as u64,
+        next_id: 0,
+    };
+    let pool = JobPool::new(rates.num_types());
+    let totals = run_events(
+        rates,
+        scheduler,
+        pool,
+        Some(arrivals),
+        config.warmup_jobs,
+        config.warmup_jobs + config.measured_jobs,
+    );
+    let elapsed = (totals.now - totals.t_start).max(1e-12);
+    Ok(LatencyReport {
+        mean_turnaround: totals.turnaround_sum / totals.measured.max(1) as f64,
+        utilization: totals.busy_time / elapsed,
+        empty_fraction: totals.empty_time / elapsed,
+        throughput: totals.work_done / elapsed,
+        mean_jobs_in_system: totals.jobs_time / elapsed,
+        completed: totals.measured,
+    })
+}
 
-    let mut pool = JobPool::new(n_types);
-    let mut now = 0.0f64;
-    let mut next_arrival = rng.next_exp(1.0 / config.arrival_rate);
-    let mut next_id: u64 = 0;
+fn draw_size(rng: &mut SplitMix64, sizes: SizeDist) -> f64 {
+    match sizes {
+        SizeDist::Deterministic => 1.0,
+        SizeDist::Exponential => rng.next_exp(1.0),
+    }
+}
 
-    let target = config.warmup_jobs + config.measured_jobs;
+/// The Poisson arrival stream of a latency experiment. Each job draws
+/// its type before its size.
+struct Arrivals {
+    rng: SplitMix64,
+    mean_gap: f64,
+    sizes: SizeDist,
+    num_types: u64,
+    /// Time of the next arrival.
+    next: f64,
+    next_id: u64,
+}
+
+impl Arrivals {
+    fn job(&mut self, arrival: f64) -> Job {
+        let id = self.next_id;
+        self.next_id += 1;
+        Job {
+            id,
+            ty: self.rng.next_range(self.num_types) as usize,
+            remaining: draw_size(&mut self.rng, self.sizes),
+            arrival,
+        }
+    }
+
+    fn gap(&mut self) -> f64 {
+        self.rng.next_exp(self.mean_gap)
+    }
+}
+
+/// Accumulators of one event-loop run. The time integrals, the work and
+/// the turnarounds cover the measurement window only.
+#[derive(Default)]
+struct Totals {
+    now: f64,
+    t_start: f64,
+    busy_time: f64,
+    empty_time: f64,
+    jobs_time: f64,
+    work_done: f64,
+    turnaround_sum: f64,
+    measured: u64,
+}
+
+/// The event loop of both experiments: at every event the scheduler
+/// picks the running coschedule from `pool`, time advances to the next
+/// completion or arrival, and the loop ends after `target` completions,
+/// the first `warmup` of which go unmeasured. A batch passes its jobs in
+/// `pool` and no arrival stream.
+fn run_events(
+    rates: &dyn RateModel,
+    scheduler: &mut dyn Scheduler,
+    mut pool: JobPool,
+    mut arrivals: Option<Arrivals>,
+    warmup: u64,
+    target: u64,
+) -> Totals {
+    let contexts = rates.contexts();
+    let mut running = Running::new(rates.num_types());
+    let mut done = Vec::new();
+    let mut t = Totals::default();
+    let mut measuring = warmup == 0;
     let mut completed_total: u64 = 0;
 
-    // Measurement accumulators (active after warm-up).
-    let mut measuring = config.warmup_jobs == 0;
-    let mut t_start = 0.0f64;
-    let mut busy_time = 0.0f64;
-    let mut empty_time = 0.0f64;
-    let mut jobs_time = 0.0f64;
-    let mut work_done = 0.0f64;
-    let mut turnaround_sum = 0.0f64;
-    let mut measured_completions: u64 = 0;
-
     while completed_total < target {
+        let next_arrival = arrivals.as_ref().map_or(f64::INFINITY, |a| a.next);
         if pool.is_empty() {
             // Idle until the next arrival.
-            let dt = next_arrival - now;
+            let stream = arrivals
+                .as_mut()
+                .expect("only arrivals refill an empty pool");
             if measuring {
-                empty_time += dt;
+                t.empty_time += next_arrival - t.now;
             }
-            now = next_arrival;
-            pool.insert(Job {
-                id: next_id,
-                ty: rng.next_range(n_types as u64) as usize,
-                remaining: match config.sizes {
-                    SizeDist::Deterministic => 1.0,
-                    SizeDist::Exponential => rng.next_exp(1.0),
-                },
-                arrival: now,
-            });
-            next_id += 1;
-            next_arrival = now + rng.next_exp(1.0 / config.arrival_rate);
+            t.now = next_arrival;
+            pool.insert(stream.job(t.now));
+            stream.next = t.now + stream.gap();
             continue;
         }
 
         // Ask the policy for the running coschedule.
         let selection = scheduler.select(&mut pool, contexts, rates);
         debug_assert!(!selection.is_empty());
-        let mut counts = vec![0u32; n_types];
+        running.clear();
         for &id in &selection {
-            counts[pool.get(id).expect("selected job exists").ty] += 1;
+            running.start(pool.get(id).expect("selected job exists").clone());
         }
-        // Per-job rates and earliest completion.
-        let mut dt_complete = f64::INFINITY;
-        let mut sel_rates = Vec::with_capacity(selection.len());
-        for &id in &selection {
-            let job = pool.get(id).expect("selected job exists");
-            let r = rates.per_job_rate(&counts, job.ty);
-            debug_assert!(r > 0.0, "running jobs must progress");
-            dt_complete = dt_complete.min(job.remaining / r);
-            sel_rates.push((id, r));
-        }
-        let dt = dt_complete.min(next_arrival - now);
-        let end = now + dt;
+        let dt = running.price(rates).min(next_arrival - t.now);
+        let end = t.now + dt;
 
         if measuring {
-            busy_time += selection.len() as f64 * dt;
-            jobs_time += pool.len() as f64 * dt;
-            work_done += sel_rates.iter().map(|(_, r)| r * dt).sum::<f64>();
+            t.busy_time += running.len() as f64 * dt;
+            t.jobs_time += pool.len() as f64 * dt;
+            t.work_done += running
+                .jobs()
+                .iter()
+                .map(|job| running.rate(job.ty) * dt)
+                .sum::<f64>();
         }
-        scheduler.observe(&counts, dt);
+        scheduler.observe(running.counts(), dt);
 
         // Advance running jobs; collect completions.
-        for &(id, r) in &sel_rates {
-            let job = pool.get(id).expect("selected job exists");
-            let left = job.remaining - r * dt;
-            pool.set_remaining(id, left);
+        done.clear();
+        running.advance(dt, &mut done);
+        for job in running.jobs() {
+            pool.set_remaining(job.id, job.remaining);
         }
-        for &(id, _) in &sel_rates {
-            if pool.get(id).expect("job exists").remaining <= 1e-12 {
-                let job = pool.remove(id);
-                completed_total += 1;
-                if measuring {
-                    turnaround_sum += end - job.arrival;
-                    measured_completions += 1;
-                }
-                if !measuring && completed_total >= config.warmup_jobs {
-                    measuring = true;
-                    t_start = end;
-                }
+        for job in &done {
+            pool.remove(job.id);
+            completed_total += 1;
+            if measuring {
+                t.turnaround_sum += end - job.arrival;
+                t.measured += 1;
+            }
+            if !measuring && completed_total >= warmup {
+                measuring = true;
+                t.t_start = end;
             }
         }
-        now = end;
+        t.now = end;
         // Admit an arrival that falls exactly at or before the new time.
-        if next_arrival <= now + 1e-15 {
-            pool.insert(Job {
-                id: next_id,
-                ty: rng.next_range(n_types as u64) as usize,
-                remaining: match config.sizes {
-                    SizeDist::Deterministic => 1.0,
-                    SizeDist::Exponential => rng.next_exp(1.0),
-                },
-                arrival: next_arrival,
-            });
-            next_id += 1;
-            next_arrival = now + rng.next_exp(1.0 / config.arrival_rate);
+        if let Some(stream) = arrivals.as_mut() {
+            if stream.next <= t.now + 1e-15 {
+                pool.insert(stream.job(stream.next));
+                stream.next = t.now + stream.gap();
+            }
         }
     }
-
-    let elapsed = (now - t_start).max(1e-12);
-    Ok(LatencyReport {
-        mean_turnaround: turnaround_sum / measured_completions.max(1) as f64,
-        utilization: busy_time / elapsed,
-        empty_fraction: empty_time / elapsed,
-        throughput: work_done / elapsed,
-        mean_jobs_in_system: jobs_time / elapsed,
-        completed: measured_completions,
-    })
+    t
 }
 
 /// Parameters of a fixed-batch (makespan / maximum-throughput) experiment.
@@ -306,15 +460,12 @@ pub fn run_batch_experiment(
         );
     }
     let n_types = rates.num_types();
-    let contexts = rates.contexts();
     let mut rng = SplitMix64::new(config.seed);
     let mut pool = JobPool::new(n_types);
     let mut total_work = 0.0;
     for id in 0..config.jobs {
-        let size = match config.sizes {
-            SizeDist::Deterministic => 1.0,
-            SizeDist::Exponential => rng.next_exp(1.0),
-        };
+        // Size before type: the batch's historical draw order.
+        let size = draw_size(&mut rng, config.sizes);
         total_work += size;
         pool.insert(Job {
             id,
@@ -323,42 +474,11 @@ pub fn run_batch_experiment(
             arrival: 0.0,
         });
     }
-
-    let mut now = 0.0f64;
-    let mut turnaround_sum = 0.0f64;
-    while !pool.is_empty() {
-        let selection = scheduler.select(&mut pool, contexts, rates);
-        debug_assert!(!selection.is_empty());
-        let mut counts = vec![0u32; n_types];
-        for &id in &selection {
-            counts[pool.get(id).expect("selected job exists").ty] += 1;
-        }
-        let mut dt = f64::INFINITY;
-        let mut sel_rates = Vec::with_capacity(selection.len());
-        for &id in &selection {
-            let job = pool.get(id).expect("selected job exists");
-            let r = rates.per_job_rate(&counts, job.ty);
-            debug_assert!(r > 0.0, "running jobs must progress");
-            dt = dt.min(job.remaining / r);
-            sel_rates.push((id, r));
-        }
-        now += dt;
-        scheduler.observe(&counts, dt);
-        for &(id, r) in &sel_rates {
-            let left = pool.get(id).expect("job exists").remaining - r * dt;
-            pool.set_remaining(id, left);
-        }
-        for &(id, _) in &sel_rates {
-            if pool.get(id).expect("job exists").remaining <= 1e-12 {
-                let job = pool.remove(id);
-                turnaround_sum += now - job.arrival;
-            }
-        }
-    }
+    let totals = run_events(rates, scheduler, pool, None, 0, config.jobs);
     Ok(BatchReport {
-        makespan: now,
-        throughput: total_work / now,
-        mean_turnaround: turnaround_sum / config.jobs as f64,
+        makespan: totals.now,
+        throughput: total_work / totals.now,
+        mean_turnaround: totals.turnaround_sum / config.jobs as f64,
     })
 }
 
@@ -453,9 +573,84 @@ mod tests {
     use super::*;
     use crate::rates::ContentionModel;
     use crate::sched::{FcfsScheduler, MaxItScheduler, SrptScheduler};
+    use symbiosis::AnalyticModel;
 
     fn single_server_rates() -> ContentionModel {
         ContentionModel::new(vec![1.0], 0.0, 1)
+    }
+
+    fn job(id: u64, ty: usize, size: f64) -> Job {
+        Job {
+            id,
+            ty,
+            remaining: size,
+            arrival: 0.0,
+        }
+    }
+
+    #[test]
+    fn advance_completes_jobs_and_frees_contexts() {
+        let truth = AnalyticModel::new(1, 2, |_counts: &[u32], _ty| 1.0);
+        let mut running = Running::new(1);
+        running.start(job(0, 0, 1.0));
+        running.start(job(1, 0, 2.0));
+        let dt = running.price(&truth);
+        assert!((dt - 1.0).abs() < 1e-12);
+        let mut done = Vec::new();
+        running.advance(dt, &mut done);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].id, 0);
+        assert_eq!(running.len(), 1);
+        assert_eq!(running.counts(), &[1]);
+        // The second job still needs one more unit of work.
+        let dt2 = running.price(&truth);
+        assert!((dt2 - 1.0).abs() < 1e-9);
+        running.advance(dt2, &mut done);
+        assert_eq!(done.iter().map(|j| j.id).collect::<Vec<_>>(), vec![0, 1]);
+        assert!(running.is_empty());
+        assert_eq!(running.counts(), &[0]);
+        assert_eq!(running.price(&truth), f64::INFINITY);
+    }
+
+    #[test]
+    fn completion_rates_follow_the_coschedule() {
+        // Two jobs of the same type slow each other down by 2x.
+        let truth = AnalyticModel::new(
+            1,
+            2,
+            |counts: &[u32], _ty| {
+                if counts[0] > 1 {
+                    0.5
+                } else {
+                    1.0
+                }
+            },
+        );
+        let mut running = Running::new(1);
+        running.start(job(0, 0, 1.0));
+        running.start(job(1, 0, 1.0));
+        let dt = running.price(&truth);
+        assert!((dt - 2.0).abs() < 1e-12, "contended pair runs at 0.5");
+        assert_eq!(running.rate(0), 0.5);
+        // Both complete at the same instant, in start order.
+        let mut done = Vec::new();
+        running.advance(dt, &mut done);
+        assert_eq!(done.iter().map(|j| j.id).collect::<Vec<_>>(), vec![0, 1]);
+        assert!(running.is_empty());
+    }
+
+    #[test]
+    fn partial_advance_keeps_jobs_running() {
+        let truth = AnalyticModel::new(2, 2, |_counts: &[u32], ty| [1.0, 0.25][ty]);
+        let mut running = Running::new(2);
+        running.start(job(3, 1, 1.0));
+        running.start(job(4, 0, 1.0));
+        assert_eq!(running.price(&truth), 1.0);
+        let mut done = Vec::new();
+        running.advance(0.5, &mut done);
+        assert!(done.is_empty());
+        let left: Vec<f64> = running.jobs().iter().map(|j| j.remaining).collect();
+        assert_eq!(left, vec![0.875, 0.5]);
     }
 
     #[test]

@@ -128,8 +128,8 @@ impl CircuitBreaker {
 /// is closed, symbiosis-blind FCFS while it is open.
 ///
 /// The breaker lives behind `Arc<Mutex<..>>` so the run loop can feed it
-/// health observations (and read the final report) while the dispatcher
-/// owns the placer.
+/// health observations (and read the final report) while it owns the
+/// placer.
 pub struct DegradingPlacer {
     primary: Box<dyn Placer>,
     fallback: PolicyPlacer,
@@ -147,7 +147,7 @@ impl DegradingPlacer {
     }
 
     /// A shared handle onto the breaker, valid after the placer moves
-    /// into the dispatcher.
+    /// into the run loop.
     pub fn breaker(&self) -> Arc<Mutex<CircuitBreaker>> {
         Arc::clone(&self.breaker)
     }

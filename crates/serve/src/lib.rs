@@ -2,8 +2,8 @@
 //!
 //! The rest of the workspace analyses symbiotic scheduling *offline*: a
 //! rate table in, a throughput or latency figure out. This crate turns
-//! those pieces into a long-running **service**: jobs stream in from many
-//! producers, a placer prices candidate coschedules through the current
+//! those pieces into a long-running **service**: jobs stream in, a
+//! placer prices candidate coschedules through the current
 //! [`predict::PredictedModel`], and completed coschedules feed
 //! measurements back into the model — the adaptive loop of a real-time
 //! digital twin.
@@ -11,27 +11,29 @@
 //! # Architecture
 //!
 //! ```text
-//!  producers (threads)
-//!   │ submit / try_submit            (backpressure: bounded buffer)
+//!  seeded arrivals
+//!   │ shed when queue_capacity jobs already wait
 //!   ▼
-//!  ┌───────────────┐ drain  ┌──────────────────────────────┐
-//!  │  serve::Queue │ ─────▶ │          Dispatcher          │
-//!  │ bounded MPSC  │        │  JobPool ──[Placer]──▶ run   │
-//!  └───────────────┘        │   (FCFS / MAXIT / BEAM)      │
-//!                           └──────┬────────────▲──────────┘
-//!                    completions / │            │ placement pricing
-//!                    measurements  │            │ (RwLock read)
-//!                                  ▼            │
-//!                           ┌──────────────────────────────┐
-//!                           │           TwinLoop           │
-//!                           │ pending batch ─▶ refit()     │
-//!                           │ (inline or worker thread)    │
-//!                           │ residuals ─▶ active probes ──┼──▶ measure
-//!                           └──────────────────────────────┘     truth
+//!  ┌────────────────────────────── run_serve ─────────────────────────┐
+//!  │ waiting JobPool ──[Placer]──▶ queueing::Running ──▶ completions  │
+//!  │            (FCFS / MAXIT / BEAM)   (advanced under truth)        │
+//!  └────────────────────▲───────────────────────────────┬─────────────┘
+//!     placement pricing │ (RwLock read)    measurements │
+//!                       │                               ▼
+//!                ┌──────┴───────────────────────────────────────┐
+//!                │                   TwinLoop                   │
+//!                │ pending batch ─▶ refit()                     │
+//!                │ (inline or worker thread)                    │
+//!                │ residuals ─▶ active probes ──────────────────┼──▶ measure
+//!                └──────────────────────────────────────────────┘     truth
 //! ```
 //!
-//! * [`Queue`] — a bounded MPSC front end over `Mutex`/`Condvar`:
-//!   producers block (or shed) when a burst outruns the dispatcher.
+//! * [`run_serve`] — the event loop: arrivals join a waiting pool
+//!   bounded by [`ServeConfig::queue_capacity`], placers fill free
+//!   contexts, and the running coschedule advances through the latency
+//!   simulator's [`queueing::Running`] step, so the service and the
+//!   Section VI experiments share one definition of progress and
+//!   completion.
 //! * [`Placer`] — fills *free* contexts non-preemptively:
 //!   [`PolicyPlacer`] reuses the Section VI schedulers via
 //!   [`OccupiedModel`] re-pricing, [`BeamPlacer`] adds a bounded
@@ -45,10 +47,10 @@
 //!   the twin's `fit_q90` health signal trips a hysteresis breaker that
 //!   routes placements to symbiosis-blind FCFS while the model is
 //!   mispricing, and hands traffic back once refits recover.
-//! * [`sim`] — closes the loop against ground truth (a measured
-//!   `PerfTable` view or any partial-capable
-//!   [`symbiosis::RateModel`]) under a seeded virtual clock, so whole
-//!   service runs are deterministic and testable.
+//!
+//! The loop runs against ground truth (a measured `PerfTable` view or
+//! any partial-capable [`symbiosis::RateModel`]) under a seeded virtual
+//! clock, so whole service runs are deterministic and testable.
 //!
 //! # Example
 //!
@@ -83,15 +85,11 @@
 //! ```
 
 pub mod breaker;
-pub mod dispatch;
 pub mod placer;
-pub mod queue;
 pub mod sim;
 pub mod twin;
 
 pub use breaker::{BreakerConfig, BreakerEvent, BreakerReport, CircuitBreaker, DegradingPlacer};
-pub use dispatch::{Completion, Dispatcher, Placement};
 pub use placer::{BeamPlacer, OccupiedModel, Placer, PolicyPlacer};
-pub use queue::{Producer, Queue, QueueStats, SubmitError};
-pub use sim::{run_serve, ErrorPoint, ServeConfig, ServeError, ServeReport};
+pub use sim::{run_serve, ErrorPoint, Placement, ServeConfig, ServeError, ServeReport};
 pub use twin::{RefitRecord, TwinError, TwinLoop};

@@ -1,4 +1,4 @@
-//! Pluggable placement policies for the dispatcher.
+//! Pluggable placement policies for the serve loop.
 //!
 //! A [`Placer`] answers one question: given the jobs waiting in the pool,
 //! the multiset already running, and a number of free hardware contexts,

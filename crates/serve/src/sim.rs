@@ -1,12 +1,14 @@
 //! Closed-loop service simulation against a ground-truth rate source.
 //!
-//! Drives the whole stack — queue → dispatcher → twin loop — under a
-//! deterministic virtual clock: seeded Poisson arrivals are pushed through
-//! the bounded [`Queue`](crate::Queue), the [`Dispatcher`] places them by
+//! Drives the whole service under a deterministic virtual clock: seeded
+//! Poisson arrivals join a waiting pool bounded by
+//! [`ServeConfig::queue_capacity`], the [`Placer`] fills free contexts by
 //! pricing candidates through the *live predicted model*, and `truth`
-//! (any partial-capable [`RateModel`] — typically a measured
-//! `PerfTable` view) decides how fast the placed coschedules actually
-//! run. Completions feed measurements back into the [`TwinLoop`], which
+//! (any partial-capable [`RateModel`] — typically a measured `PerfTable`
+//! view) decides how fast the placed coschedules actually run, through
+//! the latency simulator's [`Running`] step. Placement is
+//! non-preemptive: a placed job keeps its context until it completes.
+//! Completions feed measurements back into the [`TwinLoop`], which
 //! refits and emits active probe requests; the harness services those
 //! probes against `truth` as well.
 //!
@@ -15,14 +17,23 @@
 //! bit-for-bit, with inline or background refits.
 
 use crate::breaker::{BreakerConfig, BreakerReport, DegradingPlacer};
-use crate::dispatch::{Dispatcher, Placement};
 use crate::placer::Placer;
-use crate::queue::{Queue, SubmitError};
 use crate::twin::{RefitRecord, TwinError, TwinLoop};
 use predict::{PredictedModel, RateSample};
-use queueing::Job;
+use queueing::{Job, JobId, JobPool, Running};
 use symbiosis::rng::SplitMix64;
 use symbiosis::RateModel;
+
+/// One placement decision, for deterministic-trace assertions.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Placement {
+    /// Time the placement happened.
+    pub time: f64,
+    /// Jobs started, in placer order.
+    pub placed: Vec<JobId>,
+    /// The running multiset after the placement.
+    pub running_after: Vec<u32>,
+}
 
 /// Configuration for one [`run_serve`] experiment.
 #[derive(Debug, Clone)]
@@ -33,7 +44,8 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// RNG seed (arrivals, types, sizes).
     pub seed: u64,
-    /// Queue bound; arrivals hitting a full queue are shed.
+    /// Bound on the jobs waiting for a context; an arrival that finds
+    /// this many waiting is shed.
     pub queue_capacity: usize,
     /// Twin staleness bound: refit every `batch` measurements.
     pub batch: usize,
@@ -87,9 +99,10 @@ pub struct ErrorPoint {
 pub struct ServeReport {
     /// The placer that drove the run.
     pub placer: String,
-    /// Jobs accepted into the queue.
+    /// Jobs admitted to the waiting pool.
     pub submitted: u64,
-    /// Jobs shed at the full queue.
+    /// Jobs shed because [`ServeConfig::queue_capacity`] jobs were
+    /// already waiting.
     pub rejected: u64,
     /// Jobs completed.
     pub completed: u64,
@@ -150,8 +163,9 @@ fn measure(truth: &dyn RateModel, counts: &[u32]) -> RateSample {
     }
 }
 
-/// Runs the closed loop: seeded arrivals through queue, dispatcher and
-/// twin against `truth`. See the module docs for the event structure.
+/// Runs the closed loop: seeded arrivals through the waiting pool, the
+/// placer and the twin against `truth`. See the module docs for the
+/// event structure.
 ///
 /// # Errors
 ///
@@ -195,7 +209,6 @@ pub fn run_serve(
     let place_hist = ctx.as_ref().map(|r| r.histogram("serve.place_us"));
 
     let mut rng = SplitMix64::new(cfg.seed);
-    let (producer, queue) = Queue::bounded(cfg.queue_capacity);
     let mut twin = if cfg.twin_panic_at_batch.is_some() {
         // Fault injection targets the worker thread, so the twin must
         // run in background mode.
@@ -205,7 +218,7 @@ pub fn run_serve(
     } else {
         TwinLoop::new(model, cfg.batch, cfg.probes)
     };
-    let (placer, breaker) = match &cfg.breaker {
+    let (mut placer, breaker) = match &cfg.breaker {
         Some(breaker_cfg) => {
             let degrading = DegradingPlacer::new(placer, breaker_cfg.clone());
             let handle = degrading.breaker();
@@ -213,8 +226,7 @@ pub fn run_serve(
         }
         None => (placer, None),
     };
-    let mut dispatcher = Dispatcher::new(n, k, placer);
-    let placer_name = dispatcher.placer_name().to_string();
+    let placer_name = placer.name().to_string();
 
     // Solo rates give each job's ideal (uncontended) execution time, the
     // denominator of the slowdown metric.
@@ -233,10 +245,16 @@ pub fn run_serve(
         mean_abs_rel: twin.read().error_against(truth).mean_abs_rel,
     }];
 
+    let mut waiting = JobPool::new(n);
+    let mut running = Running::new(n);
+    let mut trace = Vec::new();
+    let mut done = Vec::new();
+    // Every job's size, by id, for the work and slowdown statistics.
+    let mut sizes = Vec::with_capacity(cfg.jobs);
     let mut now = 0.0;
     let mut arrivals_left = cfg.jobs;
-    let mut next_id: u64 = 0;
     let mut next_arrival = now + rng.next_exp(1.0 / cfg.arrival_rate);
+    let (mut submitted, mut rejected, mut placed) = (0u64, 0u64, 0u64);
     let mut completed: u64 = 0;
     let mut work_done = 0.0;
     let mut turnaround_sum = 0.0;
@@ -244,30 +262,11 @@ pub fn run_serve(
     let mut makespan = 0.0;
 
     loop {
-        let next_completion = dispatcher
-            .time_to_next_completion(truth)
-            .map(|dt| now + dt)
-            .unwrap_or(f64::INFINITY);
+        let next_completion = now + running.price(truth);
         let arrival_due = arrivals_left > 0 && next_arrival <= next_completion;
         if !arrival_due && !next_completion.is_finite() {
-            if queue.is_empty() && dispatcher.is_idle() {
-                // No arrivals left, nothing queued, nothing running: done.
-                break;
-            }
-            // Nothing running yet but the queue holds work: dispatch it.
-            if let Some(g) = &depth_gauge {
-                g.set(queue.len() as i64);
-            }
-            for job in queue.drain() {
-                dispatcher.admit(job);
-            }
-            let placing = std::time::Instant::now();
-            let model = twin.read();
-            dispatcher.fill(&*model, now);
-            if let Some(h) = &place_hist {
-                h.record(placing.elapsed().as_micros() as f64);
-            }
-            continue;
+            // No arrivals left and nothing running: done.
+            break;
         }
 
         // Advance the running coschedule to the next event — arrival or
@@ -279,17 +278,20 @@ pub fn run_serve(
         };
         let dt = event_time - now;
         now = event_time;
-        let ran = dispatcher.running_counts().to_vec();
-        let done = dispatcher.advance(truth, dt, now);
+        let ran = running.counts().to_vec();
+        done.clear();
+        running.advance(dt, &mut done);
         if !done.is_empty() {
             // Completions: the coschedule that ran yields a measurement,
             // jobs finish, the twin may refit.
-            for c in &done {
+            done.sort_by_key(|job| job.id);
+            for job in &done {
+                let size = sizes[job.id as usize];
                 completed += 1;
-                work_done += c.size;
-                let turnaround = now - c.arrival;
+                work_done += size;
+                let turnaround = now - job.arrival;
                 turnaround_sum += turnaround;
-                slowdown_sum += turnaround / (c.size / solo_rates[c.ty]);
+                slowdown_sum += turnaround / (size / solo_rates[job.ty]);
             }
             makespan = now;
             if twin.record(measure(truth, &ran)) {
@@ -318,51 +320,68 @@ pub fn run_serve(
             }
         }
         if arrival_due {
-            // Arrival event: a producer pushes one job at the queue.
+            // Arrival event: the job waits for a context, or is shed when
+            // the waiting pool is full.
             let job = Job {
-                id: next_id,
+                id: sizes.len() as JobId,
                 ty: rng.next_range(n as u64) as usize,
                 remaining: rng.next_exp(1.0),
                 arrival: now,
             };
-            next_id += 1;
+            sizes.push(job.remaining);
             arrivals_left -= 1;
-            match producer.try_submit(job) {
-                Ok(()) => {}
-                Err(SubmitError::Full(_)) => {
-                    // Shed; counted by the queue's own stats too.
-                    if let Some(c) = &shed_counter {
-                        c.add(1);
-                    }
+            if waiting.len() >= cfg.queue_capacity {
+                rejected += 1;
+                if let Some(c) = &shed_counter {
+                    c.add(1);
                 }
-                Err(SubmitError::Closed(_)) => unreachable!("queue closed early"),
+            } else {
+                waiting.insert(job);
+                submitted += 1;
             }
             next_arrival = now + rng.next_exp(1.0 / cfg.arrival_rate);
         }
-
-        // Dispatch path: drain the queue and fill free contexts, pricing
-        // through the live predicted model.
         if let Some(g) = &depth_gauge {
-            g.set(queue.len() as i64);
+            g.set(waiting.len() as i64);
         }
-        for job in queue.drain() {
-            dispatcher.admit(job);
-        }
-        {
-            let placing = std::time::Instant::now();
-            let model = twin.read();
-            dispatcher.fill(&*model, now);
-            if let Some(h) = &place_hist {
-                h.record(placing.elapsed().as_micros() as f64);
+
+        // Fill free contexts, pricing through the live predicted model.
+        // Stops when the machine is full, nothing waits, or the placer
+        // declines to place.
+        let placing = std::time::Instant::now();
+        let model = twin.read();
+        loop {
+            let free = k - running.len();
+            if free == 0 || waiting.is_empty() {
+                break;
             }
+            let ids = placer.place(&mut waiting, running.counts(), free, &*model);
+            if ids.is_empty() {
+                break;
+            }
+            assert!(
+                ids.len() <= free,
+                "placer returned {} jobs for {free} free contexts",
+                ids.len()
+            );
+            for &id in &ids {
+                running.start(waiting.remove(id));
+            }
+            placed += ids.len() as u64;
+            trace.push(Placement {
+                time: now,
+                placed: ids,
+                running_after: running.counts().to_vec(),
+            });
+        }
+        drop(model);
+        if let Some(h) = &place_hist {
+            h.record(placing.elapsed().as_micros() as f64);
         }
     }
 
-    queue.close();
-    let stats = queue.stats();
-    let (placed_total, completed_total) = dispatcher.totals();
-    assert_eq!(stats.depth, 0, "jobs left in the queue at shutdown");
-    assert_eq!(placed_total, completed_total, "running jobs at shutdown");
+    assert!(waiting.is_empty(), "jobs left waiting at shutdown");
+    assert_eq!(placed, completed, "running jobs at shutdown");
 
     let (final_model, refits) = twin.shutdown().map_err(ServeError::Twin)?;
     errors.push(ErrorPoint {
@@ -380,8 +399,8 @@ pub fn run_serve(
 
     Ok(ServeReport {
         placer: placer_name,
-        submitted: stats.submitted,
-        rejected: stats.rejected,
+        submitted,
+        rejected,
         completed,
         makespan,
         jobs_per_time: completed as f64 / makespan.max(f64::MIN_POSITIVE),
@@ -390,7 +409,7 @@ pub fn run_serve(
         mean_slowdown: slowdown_sum / (completed as f64).max(1.0),
         refits,
         errors,
-        trace: dispatcher.trace().to_vec(),
+        trace,
         final_train_samples: final_model.samples().len(),
         breaker: breaker.map(|b| {
             b.lock()
@@ -464,6 +483,64 @@ mod tests {
         assert_eq!(placed, report.completed);
         assert!(report.mean_slowdown >= 1.0 - 1e-9);
         assert!(report.makespan > 0.0);
+    }
+
+    #[test]
+    fn fill_places_up_to_free_contexts_and_records_a_trace() {
+        // Three jobs arrive almost at once on two contexts: the first two
+        // start on arrival, the third waits for the first completion.
+        let flat = AnalyticModel::new(2, 2, |_counts: &[u32], _ty| 1.0);
+        let cfg = ServeConfig {
+            arrival_rate: 1e6,
+            jobs: 3,
+            ..small_cfg()
+        };
+        let report = run_serve(
+            &flat,
+            seed_model(&flat),
+            Box::new(PolicyPlacer::fcfs()),
+            &cfg,
+        )
+        .unwrap();
+        let placed: Vec<Vec<JobId>> = report.trace.iter().map(|p| p.placed.clone()).collect();
+        assert_eq!(placed, vec![vec![0], vec![1], vec![2]]);
+        let busy: Vec<u32> = report
+            .trace
+            .iter()
+            .map(|p| p.running_after.iter().sum())
+            .collect();
+        assert_eq!(busy, vec![1, 2, 2]);
+        // The third placement happens at a completion, long after the
+        // arrivals.
+        assert!(report.trace[2].time > 1e3 * report.trace[1].time);
+        assert_eq!(report.completed, 3);
+    }
+
+    #[test]
+    fn a_full_waiting_pool_sheds_arrivals() {
+        let truth = truth(3, 4);
+        let cfg = ServeConfig {
+            arrival_rate: 40.0,
+            queue_capacity: 2,
+            ..small_cfg()
+        };
+        let rec = obs::Recorder::new();
+        let _guard = obs::install(&rec);
+        let report = run_serve(
+            &truth,
+            seed_model(&truth),
+            Box::new(PolicyPlacer::greedy()),
+            &cfg,
+        )
+        .unwrap();
+        assert!(report.rejected > 0, "overload must shed");
+        assert_eq!(report.submitted + report.rejected, 300);
+        assert_eq!(report.completed, report.submitted);
+        let placed: u64 = report.trace.iter().map(|p| p.placed.len() as u64).sum();
+        assert_eq!(placed, report.completed);
+        assert_eq!(report.metrics.counters["serve.shed"], report.rejected);
+        // The gauge records the waiting backlog, which the bound caps.
+        assert_eq!(report.metrics.gauges["serve.queue_depth"].max, 2);
     }
 
     #[test]
@@ -618,6 +695,14 @@ mod tests {
         };
         assert!(matches!(
             run_serve(&t, model, Box::new(PolicyPlacer::fcfs()), &bad),
+            Err(ServeError::Config(_))
+        ));
+        let no_room = ServeConfig {
+            queue_capacity: 0,
+            ..ServeConfig::default()
+        };
+        assert!(matches!(
+            run_serve(&t, seed_model(&t), Box::new(PolicyPlacer::fcfs()), &no_room),
             Err(ServeError::Config(_))
         ));
         let other = truth(3, 2);

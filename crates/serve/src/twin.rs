@@ -1,6 +1,6 @@
 //! The digital-twin model loop: bounded-staleness refits off the hot path.
 //!
-//! The dispatcher prices placements through a [`PredictedModel`] behind an
+//! The placer prices placements through a [`PredictedModel`] behind an
 //! `RwLock`; completed-coschedule measurements accumulate in a pending
 //! batch and every `batch` samples trigger a [`PredictedModel::refit`] —
 //! inline, or on a background worker thread so the placement path never

@@ -1,5 +1,5 @@
 //! End-to-end soak test of the online service through the facade: a
-//! seeded arrival stream runs the whole queue → dispatcher → twin loop
+//! seeded arrival stream runs the whole waiting pool → placer → twin loop
 //! against an analytic ground truth, twice per configuration, and the
 //! runs must agree bit-for-bit while the digital twin's error trends
 //! down and shutdown leaves nothing behind.
@@ -56,8 +56,8 @@ fn soak(background: bool) -> ServeReport {
     .unwrap()
 }
 
-/// Graceful shutdown: the queue drains, no job is lost or double-placed,
-/// and the books balance exactly.
+/// Graceful shutdown: the waiting pool drains, no job is lost or
+/// double-placed, and the books balance exactly.
 #[test]
 fn soak_conserves_every_job_through_shutdown() {
     let report = soak(false);
