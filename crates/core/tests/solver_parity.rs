@@ -273,6 +273,90 @@ fn default_dispatch_is_bitwise_dense_below_the_threshold() {
     }
 }
 
+/// FNV-1a over the little-endian bytes of 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn of_bits(xs: &[f64]) -> u64 {
+        let mut d = Digest(0xcbf2_9ce4_8422_2325);
+        for x in xs {
+            for b in x.to_bits().to_le_bytes() {
+                d.0 ^= u64::from(b);
+                d.0 = d.0.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        d.0
+    }
+}
+
+#[test]
+fn sparse_stationary_solvers_are_pinned_bitwise() {
+    // Constants recorded from a known good build: a one-ulp drift in any
+    // sparse tier's update order, relaxation, residual or renormalization
+    // changes a digest. Each tier is forced through the tuned dispatch:
+    // `(0, usize::MAX, 0)` is Gauss–Seidel, `(0, 0, 1)` natural-order SOR
+    // and `(0, 0, 4)` the multi-colored sweep on four threads. The
+    // (12, 4) shape (1 365 states) sits past the dense limit, where the
+    // default dispatch itself goes sparse.
+    const TIERS: [(usize, usize, usize); 3] = [(0, usize::MAX, 0), (0, 0, 1), (0, 0, 4)];
+    /// (shape, digest of pi's bits per tier, throughput bits per tier)
+    type Pin = ((usize, usize), [u64; 3], [u64; 3]);
+    const PINS: &[Pin] = &[
+        (
+            (4, 4),
+            [
+                0x528c_5350_2b92_341e,
+                0x64fb_011c_db43_ed74,
+                0x6c3d_18a6_c2e2_8cfa,
+            ],
+            [
+                0x3ffa_36dd_5eab_15b3,
+                0x3ffa_36dd_5eab_187d,
+                0x3ffa_36dd_5eab_166c,
+            ],
+        ),
+        (
+            (8, 4),
+            [
+                0xf4c4_8e5d_2ae2_51b7,
+                0xc6d7_ed57_7c1b_6e39,
+                0x0a08_5183_f4a6_1a38,
+            ],
+            [
+                0x3ffd_230a_086c_286b,
+                0x3ffd_230a_086c_285a,
+                0x3ffd_230a_086c_2883,
+            ],
+        ),
+        (
+            (12, 4),
+            [
+                0x0140_9b96_69c0_1a95,
+                0x9bec_4af3_2ce7_154e,
+                0xdb96_a729_2ead_3a8e,
+            ],
+            [
+                0x3ffd_c9e7_910c_56f9,
+                0x3ffd_c9e7_910c_56ec,
+                0x3ffd_c9e7_910c_56e9,
+            ],
+        ),
+    ];
+    let got: Vec<_> = PINS
+        .iter()
+        .map(|&((n, k), _, _)| {
+            let rates = random_rates(n, k, 0x5EED);
+            let outs = TIERS.map(|(dense, accel, threads)| {
+                fcfs_throughput_markov_tuned(&rates, dense, accel, threads).unwrap()
+            });
+            let pis = outs.each_ref().map(|out| Digest::of_bits(&out.fractions));
+            let throughputs = outs.each_ref().map(|out| out.throughput.to_bits());
+            ((n, k), pis, throughputs)
+        })
+        .collect();
+    assert_eq!(got, PINS);
+}
+
 #[test]
 fn coschedule_stream_equals_materialised_enumeration() {
     for n in 1..=8 {
