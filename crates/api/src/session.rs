@@ -315,8 +315,10 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// OS threads for simulated table building (default: available
-    /// parallelism).
+    /// OS threads for simulated table building and for the FCFS-MARKOV
+    /// solve's multi-colored sweep on chains past
+    /// [`SessionBuilder::markov_accel_limit`]; one thread runs sequential
+    /// adaptive SOR there instead (default: available parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -394,7 +396,8 @@ impl<'a> SessionBuilder<'a> {
     }
 
     /// Largest Markov-chain state count solved by dense LU; bigger chains
-    /// go through the sparse Gauss–Seidel path
+    /// go through the sparse path, which picks its sweep by
+    /// [`SessionBuilder::markov_accel_limit`]
     /// (default: [`symbiosis::DEFAULT_MARKOV_DENSE_LIMIT`]). `0` forces the
     /// sparse path, `usize::MAX` the dense one.
     pub fn markov_dense_limit(mut self, limit: usize) -> Self {
@@ -403,8 +406,9 @@ impl<'a> SessionBuilder<'a> {
     }
 
     /// Largest sparse Markov-chain state count solved by sequential
-    /// Gauss–Seidel; bigger chains go through the multi-colored parallel
-    /// SOR sweep (default: [`symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT`]).
+    /// Gauss–Seidel; bigger chains go through adaptive SOR, as the
+    /// multi-colored parallel sweep when [`SessionBuilder::threads`] is
+    /// above one (default: [`symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT`]).
     /// `0` forces the accelerated path, `usize::MAX` sequential
     /// Gauss–Seidel. Only consulted above
     /// [`SessionBuilder::markov_dense_limit`].

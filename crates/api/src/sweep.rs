@@ -15,7 +15,7 @@ use symbiosis::{JobSize, Objective, WorkloadRates};
 use workloads::{PerfTable, WorkUnit, WorkloadView};
 
 use crate::pool::WorkerPool;
-use crate::session::{PolicyRequest, Session, SessionBuilder, SessionError, SessionReport};
+use crate::session::{Session, SessionBuilder, SessionError, SessionReport};
 use crate::stats;
 use crate::Policy;
 
@@ -220,50 +220,14 @@ impl fmt::Display for SweepReport {
     }
 }
 
-/// The per-workload experiment knobs a sweep carries: exactly the
-/// parameters a sequential caller would configure on each single-workload
-/// [`Session::builder`], which is what keeps sweep rows bitwise equal to
-/// sequential runs.
-#[derive(Clone)]
-struct SweepKnobs {
-    objective: Objective,
-    fcfs_jobs: u64,
-    job_size: JobSize,
-    seed: u64,
-    latency: Option<LatencyConfig>,
-    lp_dense_limit: usize,
-    markov_dense_limit: usize,
-    markov_accel_limit: usize,
-}
-
-impl SweepKnobs {
-    /// One single-workload session carrying this sweep's knobs — the same
-    /// builder a sequential caller would configure by hand.
-    fn session(&self) -> SessionBuilder<'static> {
-        let mut builder = Session::builder()
-            .objective(self.objective)
-            .fcfs_jobs(self.fcfs_jobs)
-            .job_size(self.job_size)
-            .seed(self.seed)
-            .lp_dense_limit(self.lp_dense_limit)
-            .markov_dense_limit(self.markov_dense_limit)
-            .markov_accel_limit(self.markov_accel_limit);
-        if let Some(cfg) = &self.latency {
-            builder = builder.latency(cfg.clone());
-        }
-        builder
-    }
-}
-
 /// One workload's evaluation context inside [`SweepBuilder::map`]: the
 /// shared table, the workload, the sweep's unit of work, and a
 /// [`SweepItem::session`] constructor for per-workload policy rows.
 pub struct SweepItem<'a> {
     table: &'a PerfTable,
     workload: &'a [usize],
-    unit: WorkUnit,
     index: usize,
-    knobs: &'a SweepKnobs,
+    spec: &'a SweepSpec,
 }
 
 impl<'a> SweepItem<'a> {
@@ -291,7 +255,7 @@ impl<'a> SweepItem<'a> {
     /// error currency).
     pub fn rates(&self) -> Result<WorkloadRates, String> {
         self.table
-            .workload_rates_with_unit(self.workload, self.unit)
+            .workload_rates_with_unit(self.workload, self.spec.unit)
             .map_err(|e| e.to_string())
     }
 
@@ -319,7 +283,7 @@ impl<'a> SweepItem<'a> {
     /// row), and run. Overrides apply per call; the sweep's own knobs are
     /// untouched.
     pub fn session(&self) -> SessionBuilder<'static> {
-        self.knobs.session()
+        self.spec.session()
     }
 }
 
@@ -331,8 +295,9 @@ impl<'a> SweepItem<'a> {
 /// reconstruct, via [`SweepSpec::sweep`], a builder that evaluates a
 /// workload sub-slice with rows bitwise identical to the full run's.
 ///
-/// Field-for-field this mirrors the builder's configuration surface;
-/// [`SweepBuilder::spec`] extracts it and round-trips losslessly.
+/// A [`SweepBuilder`] keeps its per-workload configuration in one of
+/// these (known policies under their canonical registry names);
+/// [`SweepBuilder::spec`] returns a copy and round-trips losslessly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Requested policies in request order, as [`Policy::by_name`] names.
@@ -354,7 +319,8 @@ pub struct SweepSpec {
     /// Dense-LU threshold for the FCFS Markov chain.
     pub markov_dense_limit: usize,
     /// Sequential Gauss–Seidel threshold for sparse FCFS Markov chains;
-    /// bigger chains use the multi-colored parallel SOR sweep.
+    /// bigger chains use adaptive SOR (the multi-colored parallel sweep
+    /// when more than one thread is available).
     pub markov_accel_limit: usize,
 }
 
@@ -365,10 +331,16 @@ impl SweepSpec {
     /// same per-workload knobs, the rows are bitwise identical to the rows
     /// the full-list sweep produces for those workloads.
     pub fn sweep<'t>(&self, table: &'t PerfTable) -> SweepBuilder<'t> {
-        let mut builder = Session::sweep()
-            .table(table)
-            .unit(self.unit)
-            .policy_names(&self.policies)
+        let mut builder = Session::sweep().table(table);
+        builder.spec = self.clone();
+        builder
+    }
+
+    /// One single-workload session carrying this spec's knobs — the same
+    /// builder a sequential caller would configure by hand, which is what
+    /// keeps sweep rows bitwise equal to single-session runs.
+    fn session(&self) -> SessionBuilder<'static> {
+        let mut builder = Session::builder()
             .objective(self.objective)
             .fcfs_jobs(self.fcfs_jobs)
             .job_size(self.job_size)
@@ -380,6 +352,21 @@ impl SweepSpec {
             builder = builder.latency(cfg.clone());
         }
         builder
+    }
+
+    /// The requested policies, or the first unknown name as
+    /// [`SessionError::UnknownPolicy`]; an empty request is
+    /// [`SessionError::NoPolicies`].
+    fn resolve_policies(&self) -> Result<Vec<Policy>, SessionError> {
+        if self.policies.is_empty() {
+            return Err(SessionError::NoPolicies);
+        }
+        self.policies
+            .iter()
+            .map(|name| {
+                Policy::by_name(name).ok_or_else(|| SessionError::UnknownPolicy(name.clone()))
+            })
+            .collect()
     }
 }
 
@@ -415,10 +402,9 @@ impl SweepSpec {
 pub struct SweepBuilder<'a> {
     table: Option<&'a PerfTable>,
     workloads: Vec<Vec<usize>>,
-    unit: WorkUnit,
     threads: usize,
-    policies: Vec<PolicyRequest>,
-    knobs: SweepKnobs,
+    /// Policies (known ones by canonical registry name), unit and knobs.
+    spec: SweepSpec,
 }
 
 impl Session {
@@ -428,10 +414,10 @@ impl Session {
         SweepBuilder {
             table: None,
             workloads: Vec::new(),
-            unit: WorkUnit::Weighted,
             threads: WorkerPool::default_size().threads(),
-            policies: Vec::new(),
-            knobs: SweepKnobs {
+            spec: SweepSpec {
+                policies: Vec::new(),
+                unit: WorkUnit::Weighted,
                 objective: Objective::MaxThroughput,
                 fcfs_jobs: 40_000,
                 job_size: JobSize::Deterministic,
@@ -474,7 +460,7 @@ impl<'a> SweepBuilder<'a> {
     /// the paper's reported unit). With [`WorkUnit::Plain`] only throughput
     /// policies apply (the plain-unit table answers full coschedules only).
     pub fn unit(mut self, unit: WorkUnit) -> Self {
-        self.unit = unit;
+        self.spec.unit = unit;
         self
     }
 
@@ -486,14 +472,15 @@ impl<'a> SweepBuilder<'a> {
 
     /// Adds one policy to evaluate per workload.
     pub fn policy(mut self, policy: Policy) -> Self {
-        self.policies.push(PolicyRequest::Resolved(policy));
+        self.spec.policies.push(policy.name().to_owned());
         self
     }
 
     /// Adds several policies to evaluate per workload.
     pub fn policies<I: IntoIterator<Item = Policy>>(mut self, policies: I) -> Self {
-        self.policies
-            .extend(policies.into_iter().map(PolicyRequest::Resolved));
+        self.spec
+            .policies
+            .extend(policies.into_iter().map(|p| p.name().to_owned()));
         self
     }
 
@@ -505,7 +492,10 @@ impl<'a> SweepBuilder<'a> {
         S: AsRef<str>,
     {
         for name in names {
-            self.policies.push(PolicyRequest::from_name(name.as_ref()));
+            let name = name.as_ref();
+            self.spec.policies.push(
+                Policy::by_name(name).map_or_else(|| name.to_owned(), |p| p.name().to_owned()),
+            );
         }
         self
     }
@@ -513,27 +503,27 @@ impl<'a> SweepBuilder<'a> {
     /// LP direction for the MAXTP target derivation (default:
     /// [`Objective::MaxThroughput`]).
     pub fn objective(mut self, objective: Objective) -> Self {
-        self.knobs.objective = objective;
+        self.spec.objective = objective;
         self
     }
 
     /// Jobs completed per event-driven experiment leg. Default 40 000.
     pub fn fcfs_jobs(mut self, jobs: u64) -> Self {
-        self.knobs.fcfs_jobs = jobs;
+        self.spec.fcfs_jobs = jobs;
         self
     }
 
     /// Job size distribution for the event-driven legs (default:
     /// deterministic unit work).
     pub fn job_size(mut self, sizes: JobSize) -> Self {
-        self.knobs.job_size = sizes;
+        self.spec.job_size = sizes;
         self
     }
 
     /// Base RNG seed for the stochastic legs. Every workload uses the same
     /// seed — exactly what a sequential loop of single sessions does.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.knobs.seed = seed;
+        self.spec.seed = seed;
         self
     }
 
@@ -542,7 +532,7 @@ impl<'a> SweepBuilder<'a> {
     /// one. Without this call latency policies keep the single-session
     /// default: a fixed batch of [`SweepBuilder::fcfs_jobs`] jobs.
     pub fn latency(mut self, config: LatencyConfig) -> Self {
-        self.knobs.latency = Some(config);
+        self.spec.latency = Some(config);
         self
     }
 
@@ -550,7 +540,7 @@ impl<'a> SweepBuilder<'a> {
     /// per-workload session (see
     /// [`crate::SessionBuilder::lp_dense_limit`]).
     pub fn lp_dense_limit(mut self, limit: usize) -> Self {
-        self.knobs.lp_dense_limit = limit;
+        self.spec.lp_dense_limit = limit;
         self
     }
 
@@ -558,7 +548,7 @@ impl<'a> SweepBuilder<'a> {
     /// per-workload session (see
     /// [`crate::SessionBuilder::markov_dense_limit`]).
     pub fn markov_dense_limit(mut self, limit: usize) -> Self {
-        self.knobs.markov_dense_limit = limit;
+        self.spec.markov_dense_limit = limit;
         self
     }
 
@@ -566,7 +556,7 @@ impl<'a> SweepBuilder<'a> {
     /// forwarded to every per-workload session (see
     /// [`crate::SessionBuilder::markov_accel_limit`]).
     pub fn markov_accel_limit(mut self, limit: usize) -> Self {
-        self.knobs.markov_accel_limit = limit;
+        self.spec.markov_accel_limit = limit;
         self
     }
 
@@ -575,25 +565,7 @@ impl<'a> SweepBuilder<'a> {
     /// experiment knobs). `spec().sweep(table)` reconstructs an equivalent
     /// builder.
     pub fn spec(&self) -> SweepSpec {
-        SweepSpec {
-            policies: self
-                .policies
-                .iter()
-                .map(|req| match req {
-                    PolicyRequest::Resolved(p) => p.name().to_owned(),
-                    PolicyRequest::Unresolved(name) => name.clone(),
-                })
-                .collect(),
-            unit: self.unit,
-            objective: self.knobs.objective,
-            fcfs_jobs: self.knobs.fcfs_jobs,
-            job_size: self.knobs.job_size,
-            seed: self.knobs.seed,
-            latency: self.knobs.latency.clone(),
-            lp_dense_limit: self.knobs.lp_dense_limit,
-            markov_dense_limit: self.knobs.markov_dense_limit,
-            markov_accel_limit: self.knobs.markov_accel_limit,
-        }
+        self.spec.clone()
     }
 
     /// Decomposes a fully configured sweep into the three things a
@@ -612,12 +584,8 @@ impl<'a> SweepBuilder<'a> {
     #[allow(clippy::type_complexity)]
     pub fn shard(self) -> Result<(&'a PerfTable, Vec<Vec<usize>>, SweepSpec), SweepError> {
         let table = self.validated()?;
-        let policies = PolicyRequest::resolve(&self.policies).map_err(SweepError::Config)?;
-        if policies.is_empty() {
-            return Err(SweepError::Config(SessionError::NoPolicies));
-        }
-        let spec = self.spec();
-        Ok((table, self.workloads, spec))
+        self.spec.resolve_policies().map_err(SweepError::Config)?;
+        Ok((table, self.workloads, self.spec))
     }
 
     fn validated(&self) -> Result<&'a PerfTable, SweepError> {
@@ -626,13 +594,6 @@ impl<'a> SweepBuilder<'a> {
             return Err(SweepError::NoWorkloads);
         }
         Ok(table)
-    }
-
-    /// One single-workload session carrying this sweep's knobs — the same
-    /// builder a sequential caller would configure by hand, which is what
-    /// makes sweep rows bitwise equal to single-session runs.
-    fn session_for(&self, policies: &[Policy]) -> SessionBuilder<'static> {
-        self.knobs.session().policies(policies.iter().copied())
     }
 
     /// Runs every policy on every workload and returns the aggregated
@@ -648,10 +609,8 @@ impl<'a> SweepBuilder<'a> {
     /// workload order) aborts the sweep as [`SweepError::Workload`].
     pub fn run(self) -> Result<SweepReport, SweepError> {
         let table = self.validated()?;
-        let policies = PolicyRequest::resolve(&self.policies).map_err(SweepError::Config)?;
-        if policies.is_empty() {
-            return Err(SweepError::Config(SessionError::NoPolicies));
-        }
+        let policies = self.spec.resolve_policies().map_err(SweepError::Config)?;
+        let session = || self.spec.session().policies(policies.iter().copied());
         let pool = WorkerPool::new(self.threads);
         // Capture the parent's recorder so pool workers report to it (the
         // pool spawns fresh OS threads, which would otherwise see no
@@ -674,14 +633,14 @@ impl<'a> SweepBuilder<'a> {
                 // the plain unit evaluates through the full-coschedule
                 // table in that unit. Either way the session sees exactly
                 // the rate source a sequential caller would hand it.
-                let result = match self.unit {
+                let result = match self.spec.unit {
                     WorkUnit::Weighted => {
                         let view = table.workload_view(w)?;
-                        self.session_for(&policies).rates(&view).run()
+                        session().rates(&view).run()
                     }
                     WorkUnit::Plain => {
                         let rates = table.workload_rates_with_unit(w, WorkUnit::Plain)?;
-                        self.session_for(&policies).rates(&rates).run()
+                        session().rates(&rates).run()
                     }
                 };
                 if let Some(r) = &ctx {
@@ -744,9 +703,8 @@ impl<'a> SweepBuilder<'a> {
             f(SweepItem {
                 table,
                 workload: w,
-                unit: self.unit,
                 index: i,
-                knobs: &self.knobs,
+                spec: &self.spec,
             })
         });
         let mut out = Vec::with_capacity(results.len());

@@ -18,7 +18,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use dist::{loopback_pair, run_worker, Coordinator, DistConfig, WorkerConfig};
-use lp::sparse::stationary_sor;
+use lp::sparse::{stationary, StationaryMethod};
 use lp::{LinearProgram, Relation};
 use queueing::{run_latency_experiment, ContentionModel, LatencyConfig, SizeDist};
 use session::{Policy, Session};
@@ -250,7 +250,9 @@ fn main() {
 
     // Sparse Markov chains: 1365 states (N = 12, K = 4) would already be a
     // ~2.5 Gflop dense LU; 75 582 states (K = 8) is flatly out of reach
-    // dense. Both run CSR + Gauss–Seidel through the default dispatch.
+    // dense. Both run the CSR chain through the default dispatch:
+    // Gauss–Seidel at K = 4, adaptive SOR at K = 8 (multi-colored when
+    // more than one thread is available).
     let scaling_k4 = scaling_rates(12, 4);
     results.push(bench("fcfs/markov_sparse_n12_k4", || {
         black_box(fcfs_throughput_markov(&scaling_k4).expect("solves"));
@@ -264,7 +266,8 @@ fn main() {
     // adaptive-omega SOR iteration the accelerated dispatch runs.
     let (huge_inflow, huge_outflow) = markov_chain(&huge);
     results.push(bench("fcfs/markov_sor_n12_k8", || {
-        black_box(stationary_sor(&huge_inflow, &huge_outflow, 1e-12, 20_000).expect("solves"));
+        let sor = StationaryMethod::Sor;
+        black_box(stationary(&huge_inflow, &huge_outflow, sor, 1e-12, 20_000).expect("solves"));
     }));
 
     // K = 10 stress shape: 352 716 states — past DEFAULT_MARKOV_ACCEL_LIMIT,

@@ -5,7 +5,7 @@
 //! shared [`ExperimentContext`] (tables are built once and reused);
 //! `paperbench --list` prints the registry. Flags are the shared
 //! [`StudyConfig::from_args`] set, so `--table-cache`, `--sample`,
-//! `--lp-dense-limit` and friends behave identically for every entry.
+//! `--threads` and friends behave identically for every entry.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -28,7 +28,7 @@ fn usage() -> String {
     }
     text.push_str(
         "\nflags: --fast --full --sample N --jobs N --threads N --table-cache PATH \
-         --trace PATH --lp-dense-limit N --markov-dense-limit N --distribute ADDR:NWORKERS \
+         --trace PATH --simulated-k8 --distribute ADDR:NWORKERS \
          --dist-retries N --dist-timeout-secs N --dist-hedge\n\
          \n\
          worker mode: paperbench --worker ADDR [flags]\n\

@@ -9,8 +9,9 @@
 //! ([`synthetic_table`]); the LP legs beyond
 //! `symbiosis::DEFAULT_LP_DENSE_LIMIT` coschedules run through column
 //! generation and the large FCFS Markov chains through the sparse
-//! Gauss–Seidel path — the solver frontier this scenario exists to
-//! exercise.
+//! sweeps (Gauss–Seidel, then adaptive SOR past
+//! `symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT` states) — the solver frontier
+//! this scenario exists to exercise.
 
 use std::fmt;
 use std::time::Instant;

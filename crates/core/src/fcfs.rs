@@ -184,10 +184,11 @@ pub fn fcfs_throughput(
 }
 
 /// Largest state count solved by the dense LU path; larger chains go
-/// through the sparse CSR Gauss–Seidel solver. The default keeps every
-/// historical scenario (35 states at N = 4, 330 at N = 8 on K = 4) on the
-/// bitwise-stable dense path while N = 12 on K = 4 (1365 states) and
-/// beyond stream through the sparse one.
+/// through the sparse CSR path ([`fcfs_throughput_markov_tuned`] then
+/// picks the sweep by [`DEFAULT_MARKOV_ACCEL_LIMIT`]). The default keeps
+/// every historical scenario (35 states at N = 4, 330 at N = 8 on K = 4)
+/// on the bitwise-stable dense path while N = 12 on K = 4 (1365 states)
+/// and beyond stream through the sparse one.
 pub const DEFAULT_MARKOV_DENSE_LIMIT: usize = 512;
 
 /// Largest state count solved by *sequential* Gauss–Seidel on the sparse
@@ -211,9 +212,10 @@ pub const DEFAULT_MARKOV_ACCEL_LIMIT: usize = 4096;
 /// Chains up to [`DEFAULT_MARKOV_DENSE_LIMIT`] states are solved by dense
 /// LU (bitwise identical to pre-sparse releases); larger chains build the
 /// generator in CSR form — each state has at most `N * K` outgoing
-/// transitions, so the matrix is ~99.9% sparse at scale — and iterate
-/// Gauss–Seidel to a residual tolerance
-/// ([`fcfs_throughput_markov_with`] picks the threshold explicitly).
+/// transitions, so the matrix is ~99.9% sparse at scale — and sweep it to
+/// a residual tolerance: Gauss–Seidel up to [`DEFAULT_MARKOV_ACCEL_LIMIT`]
+/// states, adaptive-omega SOR beyond it, on auto-detected threads
+/// ([`fcfs_throughput_markov_tuned`] picks every threshold explicitly).
 ///
 /// # Errors
 ///
@@ -221,24 +223,12 @@ pub const DEFAULT_MARKOV_ACCEL_LIMIT: usize = 4096;
 /// system is singular or the iteration fails to converge (cannot happen
 /// for valid rate tables).
 pub fn fcfs_throughput_markov(rates: &WorkloadRates) -> Result<FcfsOutcome, SymbiosisError> {
-    fcfs_throughput_markov_with(rates, DEFAULT_MARKOV_DENSE_LIMIT)
-}
-
-/// [`fcfs_throughput_markov`] with an explicit dense-solver threshold:
-/// chains with more than `dense_limit` states go through the sparse
-/// path. `0` forces the sparse path, `usize::MAX` the dense one. The
-/// sparse path itself dispatches at [`DEFAULT_MARKOV_ACCEL_LIMIT`] with
-/// auto-detected threads ([`fcfs_throughput_markov_tuned`] exposes both
-/// knobs).
-///
-/// # Errors
-///
-/// Same conditions as [`fcfs_throughput_markov`].
-pub fn fcfs_throughput_markov_with(
-    rates: &WorkloadRates,
-    dense_limit: usize,
-) -> Result<FcfsOutcome, SymbiosisError> {
-    fcfs_throughput_markov_tuned(rates, dense_limit, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
+    fcfs_throughput_markov_tuned(
+        rates,
+        DEFAULT_MARKOV_DENSE_LIMIT,
+        DEFAULT_MARKOV_ACCEL_LIMIT,
+        0,
+    )
 }
 
 /// The fully tuned Markov dispatch: chains of up to `dense_limit` states
@@ -418,11 +408,14 @@ fn markov_stationary_sparse(
     accel_limit: usize,
     threads: usize,
 ) -> Result<Vec<f64>, SymbiosisError> {
+    use lp::StationaryMethod;
+
     let n_s = rates.coschedules().len();
     let (inflow, outflow) = markov_chain(rates);
-    let solved = if n_s <= accel_limit {
+    let colors;
+    let method = if n_s <= accel_limit {
         obs::count!("solver.markov.gauss_seidel", 1);
-        lp::sparse::stationary_gauss_seidel(&inflow, &outflow, 1e-12, 20_000)
+        StationaryMethod::GaussSeidel
     } else {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -434,14 +427,18 @@ fn markov_stationary_sparse(
             // class-major update order converges slower than the natural
             // sweep — sequential adaptive SOR is strictly better here.
             obs::count!("solver.markov.sor", 1);
-            lp::sparse::stationary_sor(&inflow, &outflow, 1e-12, 20_000)
+            StationaryMethod::Sor
         } else {
             obs::count!("solver.markov.multicolor", 1);
-            let colors = markov_coloring(rates);
-            lp::sparse::stationary_multicolor(&inflow, &outflow, &colors, 1e-12, 20_000, threads)
+            colors = markov_coloring(rates);
+            StationaryMethod::Multicolor {
+                colors: &colors,
+                threads,
+            }
         }
     };
-    solved.map_err(|e| SymbiosisError::InvalidParameter(format!("sparse markov solve: {e}")))
+    lp::stationary(&inflow, &outflow, method, 1e-12, 20_000)
+        .map_err(|e| SymbiosisError::InvalidParameter(format!("sparse markov solve: {e}")))
 }
 
 #[cfg(test)]
@@ -563,8 +560,10 @@ mod tests {
                 .collect()
         })
         .unwrap();
-        let dense = fcfs_throughput_markov_with(&rates, usize::MAX).unwrap();
-        let sparse = fcfs_throughput_markov_with(&rates, 0).unwrap();
+        let dense = fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
+            .unwrap();
+        let sparse =
+            fcfs_throughput_markov_tuned(&rates, 0, DEFAULT_MARKOV_ACCEL_LIMIT, 0).unwrap();
         assert!(
             (dense.throughput - sparse.throughput).abs() < 1e-9,
             "dense {} vs sparse {}",

@@ -7,11 +7,12 @@
 //! * the streaming `CoscheduleIter` vs the materialised
 //!   `enumerate_coschedules`, exact sequence equality.
 
-use lp::sparse::{stationary_gauss_seidel, stationary_multicolor, stationary_sor, SparseError};
+use lp::sparse::StationaryMethod::{GaussSeidel, Multicolor, Sor};
+use lp::sparse::{stationary, SparseError};
 use symbiosis::rng::SplitMix64;
 use symbiosis::{
-    enumerate_coschedules, fcfs_throughput_markov_tuned, fcfs_throughput_markov_with, markov_chain,
-    markov_coloring, CoscheduleIter, Objective, ScheduleLp, WorkloadRates,
+    enumerate_coschedules, fcfs_throughput_markov_tuned, markov_chain, markov_coloring,
+    CoscheduleIter, Objective, ScheduleLp, WorkloadRates, DEFAULT_MARKOV_ACCEL_LIMIT,
 };
 
 /// A seeded random rate table: every present type gets a positive rate
@@ -109,8 +110,11 @@ fn sparse_markov_matches_dense_lu() {
     for &(n, k) in SHAPES {
         for &seed in SEEDS {
             let rates = random_rates(n, k, seed);
-            let dense = fcfs_throughput_markov_with(&rates, usize::MAX).expect("dense solves");
-            let sparse = fcfs_throughput_markov_with(&rates, 0).expect("sparse solves");
+            let dense =
+                fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
+                    .expect("dense solves");
+            let sparse = fcfs_throughput_markov_tuned(&rates, 0, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
+                .expect("sparse solves");
             assert!(
                 (dense.throughput - sparse.throughput).abs() <= 1e-7,
                 "shape ({n},{k}) seed {seed}: dense {} vs sparse {}",
@@ -141,11 +145,15 @@ fn sor_and_multicolor_match_gauss_seidel_on_markov_chains() {
         for &seed in SEEDS {
             let rates = random_rates(n, k, seed);
             let (inflow, outflow) = markov_chain(&rates);
-            let gs = stationary_gauss_seidel(&inflow, &outflow, TOL, SWEEPS).expect("gs solves");
-            let sor = stationary_sor(&inflow, &outflow, TOL, SWEEPS).expect("sor solves");
+            let gs = stationary(&inflow, &outflow, GaussSeidel, TOL, SWEEPS).expect("gs solves");
+            let sor = stationary(&inflow, &outflow, Sor, TOL, SWEEPS).expect("sor solves");
             let colors = markov_coloring(&rates);
-            let par = stationary_multicolor(&inflow, &outflow, &colors, TOL, SWEEPS, 4)
-                .expect("multicolor solves");
+            let method = Multicolor {
+                colors: &colors,
+                threads: 4,
+            };
+            let par =
+                stationary(&inflow, &outflow, method, TOL, SWEEPS).expect("multicolor solves");
             for i in 0..gs.len() {
                 assert!(
                     (gs[i] - sor[i]).abs() <= 1e-9,
@@ -171,7 +179,8 @@ fn accelerated_dispatch_matches_dense_lu_within_1e9() {
     for &(n, k) in SHAPES {
         for &seed in SEEDS {
             let rates = random_rates(n, k, seed);
-            let dense = fcfs_throughput_markov_with(&rates, usize::MAX).expect("dense solves");
+            let dense = fcfs_throughput_markov_tuned(&rates, usize::MAX, usize::MAX, 0)
+                .expect("dense solves");
             // accel_limit = usize::MAX forces sequential Gauss–Seidel;
             // accel_limit = 0 with threads = 1 forces natural-order SOR,
             // with threads = 4 the multi-colored parallel sweep.
@@ -203,9 +212,13 @@ fn multicolor_is_deterministic_across_thread_counts() {
     let rates = random_rates(6, 4, 0xC0FFEE);
     let (inflow, outflow) = markov_chain(&rates);
     let colors = markov_coloring(&rates);
-    let one = stationary_multicolor(&inflow, &outflow, &colors, TOL, SWEEPS, 1).unwrap();
+    let multicolor = |threads| Multicolor {
+        colors: &colors,
+        threads,
+    };
+    let one = stationary(&inflow, &outflow, multicolor(1), TOL, SWEEPS).unwrap();
     for threads in [2, 3, 4, 8] {
-        let t = stationary_multicolor(&inflow, &outflow, &colors, TOL, SWEEPS, threads).unwrap();
+        let t = stationary(&inflow, &outflow, multicolor(threads), TOL, SWEEPS).unwrap();
         assert_eq!(one, t, "threads={threads} must be bitwise-stable");
     }
 }
@@ -219,7 +232,8 @@ fn sub_accel_limit_dispatch_is_bitwise_sequential_gauss_seidel() {
     for &(n, k) in SHAPES {
         let rates = random_rates(n, k, 11);
         assert!(rates.coschedules().len() <= symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT);
-        let via_default = fcfs_throughput_markov_with(&rates, 0).unwrap();
+        let via_default =
+            fcfs_throughput_markov_tuned(&rates, 0, DEFAULT_MARKOV_ACCEL_LIMIT, 0).unwrap();
         let via_gs = fcfs_throughput_markov_tuned(&rates, 0, usize::MAX, 0).unwrap();
         assert_eq!(via_default, via_gs, "shape ({n},{k}): sparse tier fallback");
     }
@@ -233,27 +247,23 @@ fn chain_level_error_cases_surface_from_every_accelerated_solver() {
     let rates = random_rates(4, 4, 3);
     let (inflow, outflow) = markov_chain(&rates);
     let colors = markov_coloring(&rates);
+    let multicolor = Multicolor {
+        colors: &colors,
+        threads: 2,
+    };
     let absorbing = vec![0.0; outflow.len()];
-    assert!(matches!(
-        stationary_gauss_seidel(&inflow, &absorbing, TOL, SWEEPS),
-        Err(SparseError::Degenerate(_))
-    ));
-    assert!(matches!(
-        stationary_sor(&inflow, &absorbing, TOL, SWEEPS),
-        Err(SparseError::Degenerate(_))
-    ));
-    assert!(matches!(
-        stationary_multicolor(&inflow, &absorbing, &colors, TOL, SWEEPS, 2),
-        Err(SparseError::Degenerate(_))
-    ));
-    assert!(matches!(
-        stationary_sor(&inflow, &outflow, TOL, 1),
-        Err(SparseError::NoConvergence(_))
-    ));
-    assert!(matches!(
-        stationary_multicolor(&inflow, &outflow, &colors, TOL, 1, 2),
-        Err(SparseError::NoConvergence(_))
-    ));
+    for method in [GaussSeidel, Sor, multicolor] {
+        assert!(matches!(
+            stationary(&inflow, &absorbing, method, TOL, SWEEPS),
+            Err(SparseError::Degenerate(_))
+        ));
+    }
+    for method in [Sor, multicolor] {
+        assert!(matches!(
+            stationary(&inflow, &outflow, method, TOL, 1),
+            Err(SparseError::NoConvergence(_))
+        ));
+    }
 }
 
 #[test]
@@ -268,7 +278,7 @@ fn default_dispatch_is_bitwise_dense_below_the_threshold() {
             .unwrap();
         assert_eq!(via_default, via_dense, "shape ({n},{k}) LP path");
         let m_default = symbiosis::fcfs_throughput_markov(&rates).unwrap();
-        let m_dense = fcfs_throughput_markov_with(&rates, usize::MAX).unwrap();
+        let m_dense = fcfs_throughput_markov_tuned(&rates, usize::MAX, usize::MAX, 0).unwrap();
         assert_eq!(m_default, m_dense, "shape ({n},{k}) Markov path");
     }
 }

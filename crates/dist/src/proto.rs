@@ -15,7 +15,7 @@ use queueing::LatencyConfig;
 use queueing::SizeDist;
 use session::{Policy, PolicyReport, SessionReport, SweepSpec};
 use symbiosis::{JobSize, Objective};
-use workloads::WorkUnit;
+use workloads::{Fnv64, WorkUnit};
 
 use crate::DistError;
 
@@ -27,16 +27,6 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// of headroom; small enough that a corrupted length prefix cannot drive
 /// an absurd allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 30;
-
-/// FNV-1a 64 over `bytes` — the same checksum the `SYMBPERF` format uses.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One protocol message. The numeric kind of each variant is part of the
 /// wire format; see the frame table in the crate docs.
@@ -152,7 +142,7 @@ impl Frame {
         let mut out = Vec::with_capacity(4 + body.len() + 8);
         put_u32(&mut out, body.len() as u32);
         out.extend_from_slice(&body);
-        put_u64(&mut out, fnv64(&body));
+        put_u64(&mut out, Fnv64::digest(&body));
         out
     }
 
@@ -244,7 +234,7 @@ impl Frame {
         }
         let body = &wire[4..4 + len];
         let stated = u64::from_le_bytes(wire[4 + len..].try_into().expect("8 bytes"));
-        let actual = fnv64(body);
+        let actual = Fnv64::digest(body);
         if stated != actual {
             return Err(DistError::Protocol(format!(
                 "frame checksum mismatch: stated {stated:#018x}, computed {actual:#018x}"
@@ -690,7 +680,7 @@ mod tests {
         let mut unknown = Frame::Drained.encode();
         unknown[4] = 200;
         let len = unknown.len();
-        let sum = fnv64(&unknown[4..len - 8]);
+        let sum = Fnv64::digest(&unknown[4..len - 8]);
         unknown[len - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             Frame::decode_wire(&unknown),
@@ -703,7 +693,7 @@ mod tests {
         let mut padded = Vec::new();
         padded.extend_from_slice(&(padded_body.len() as u32).to_le_bytes());
         padded.extend_from_slice(&padded_body);
-        padded.extend_from_slice(&fnv64(&padded_body).to_le_bytes());
+        padded.extend_from_slice(&Fnv64::digest(&padded_body).to_le_bytes());
         assert!(matches!(
             Frame::decode_wire(&padded),
             Err(DistError::Protocol(m)) if m.contains("trailing")

@@ -8,34 +8,32 @@
 //!
 //! * [`Csr`] — compressed sparse row storage with a two-pass triplet
 //!   builder;
-//! * [`stationary_gauss_seidel`] — the stationary distribution of a
-//!   continuous-time Markov chain from its *incoming*-transition CSR and
-//!   per-state outflow, by Gauss–Seidel sweeps with a residual tolerance;
-//! * [`stationary_sor`] — the same iteration accelerated by successive
-//!   over-relaxation with an *adaptive* omega estimated from the observed
-//!   convergence rate;
-//! * [`stationary_multicolor`] — multi-colored SOR: states are
-//!   partitioned into color classes with no transitions inside a class, so
-//!   each class updates in parallel across threads ([`greedy_coloring`]
-//!   derives a valid partition from any CSR when the caller has no
-//!   structural coloring at hand).
+//! * [`stationary`] — the stationary distribution of a continuous-time
+//!   Markov chain from its *incoming*-transition CSR and per-state outflow,
+//!   by relaxation sweeps to a residual tolerance. A [`StationaryMethod`]
+//!   picks the sweep: natural-order Gauss–Seidel, natural-order successive
+//!   over-relaxation with an *adaptive* omega, or multi-colored SOR whose
+//!   color classes (no transitions inside a class) update in parallel
+//!   across threads.
 //!
 //! # Solver selection
 //!
 //! | Solver | Use when | Threshold (defaults) | Convergence caveats |
 //! |--------|----------|----------------------|---------------------|
 //! | dense LU (`linsys::solve`) | chain fits a dense matrix; bitwise-stable reference | ≤ `DEFAULT_MARKOV_DENSE_LIMIT` = 512 states | direct solve — none, but O(n³) |
-//! | [`stationary_gauss_seidel`] | mid-size chains; bitwise-stable sequential baseline | ≤ `DEFAULT_MARKOV_ACCEL_LIMIT` = 4096 states | linear rate ρ(GS); slows as the chain's mixing worsens |
-//! | [`stationary_sor`] | large chains, one core; same memory as GS | kernels / explicit call | omega is estimated after a Gauss–Seidel warmup; a mis-estimate is self-healed by backoff, costing a few extra sweeps |
-//! | [`stationary_multicolor`] | large chains, many cores | > `DEFAULT_MARKOV_ACCEL_LIMIT` (the `symbiosis` crate's default dispatch) | update *order* differs from natural-order GS, so iterates differ in trajectory (not in fixed point); needs a valid coloring — an invalid one is rejected, not repaired |
+//! | [`StationaryMethod::GaussSeidel`] | mid-size chains; bitwise-stable sequential baseline | ≤ `DEFAULT_MARKOV_ACCEL_LIMIT` = 4096 states | omega held at 1; linear rate ρ(GS), slows as the chain's mixing worsens |
+//! | [`StationaryMethod::Sor`] | large chains, one core; same memory as GS | > `DEFAULT_MARKOV_ACCEL_LIMIT` when the dispatch resolves one thread | omega is estimated after a Gauss–Seidel warmup; a mis-estimate is self-healed by backoff, costing a few extra sweeps |
+//! | [`StationaryMethod::Multicolor`] | large chains, many cores | > `DEFAULT_MARKOV_ACCEL_LIMIT` with more than one thread | adaptive omega as SOR, but the update *order* is class-major, so iterates differ in trajectory (not in fixed point); needs a valid coloring — an invalid one is rejected, not repaired |
 //!
 //! (`DEFAULT_MARKOV_DENSE_LIMIT` / `DEFAULT_MARKOV_ACCEL_LIMIT` live in the
-//! `symbiosis` crate, which owns the Markov-chain dispatch.) All iterative
-//! solvers share the same residual definition — relative balance error
-//! `max_j |inflow_j(pi) - pi_j outflow_j| / max_j(pi_j outflow_j)` — so a
-//! tolerance means the same thing on every path; results agree within the
-//! tolerance (≤ 1e-9 on derived throughputs at the default 1e-12), pinned
-//! by the cross-solver parity suite in `crates/core/tests/solver_parity.rs`.
+//! `symbiosis` crate, which owns the Markov-chain dispatch.) Every method
+//! runs the same sweep loop — one relaxation update, one residual, one
+//! renormalization — so a tolerance means the same thing on every path:
+//! the relative balance error
+//! `max_j |inflow_j(pi) - pi_j outflow_j| / max_j(pi_j outflow_j)`.
+//! Results agree within the tolerance (≤ 1e-9 on derived throughputs at
+//! the default 1e-12), pinned by the cross-solver parity suite in
+//! `crates/core/tests/solver_parity.rs`.
 //!
 //! # Examples
 //!
@@ -43,18 +41,21 @@
 //! (2/3, 1/3):
 //!
 //! ```
-//! use lp::sparse::{stationary_gauss_seidel, Csr};
+//! use lp::sparse::{stationary, Csr, StationaryMethod};
 //!
 //! // inflow[j] lists (i, q_ij): state 0 receives from 1 at rate 2, etc.
 //! let inflow = Csr::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 1.0)]);
 //! let outflow = [1.0, 2.0];
-//! let pi = stationary_gauss_seidel(&inflow, &outflow, 1e-12, 1000).unwrap();
+//! let pi = stationary(&inflow, &outflow, StationaryMethod::GaussSeidel, 1e-12, 1000).unwrap();
 //! assert!((pi[0] - 2.0 / 3.0).abs() < 1e-9);
 //! assert!((pi[1] - 1.0 / 3.0).abs() < 1e-9);
 //! ```
 
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 /// Errors from the sparse iterative solvers.
 #[derive(Debug, Clone, PartialEq)]
@@ -258,24 +259,72 @@ impl CsrBuilder {
     }
 }
 
-/// Solves `pi Q = 0`, `sum(pi) = 1` for an irreducible CTMC by Gauss–Seidel.
+/// The sweep a [`stationary`] solve runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StationaryMethod<'a> {
+    /// Natural-order sweeps with omega held at 1: each state takes
+    /// `pi_j <- inflow_j(pi) / outflow_j` in place, so new values propagate
+    /// within the sweep.
+    GaussSeidel,
+    /// Natural-order successive over-relaxation, `pi_j <- (1 - w) pi_j +
+    /// w inflow_j(pi) / outflow_j` projected onto non-negative values, with
+    /// omega estimated from the convergence rate after a Gauss–Seidel
+    /// warmup and backed off when it stops contracting. Agrees with
+    /// Gauss–Seidel on the fixed point while typically needing several
+    /// times fewer sweeps on slowly mixing chains.
+    Sor,
+    /// Adaptive-omega SOR with the sweep reordered by color class so every
+    /// class updates in parallel. `colors[j]` assigns state `j` to a class;
+    /// within a class no state reads another (the coloring is validated
+    /// against the chain up front), so class members update concurrently
+    /// across up to `threads` OS threads (`0` auto-detects, `1` runs
+    /// inline). The update order — classes in ascending color, states in
+    /// index order within a class — is fixed, so results are bitwise
+    /// identical for every thread count. Callers that know the chain's
+    /// structure supply a closed-form coloring (the `symbiosis` crate
+    /// colors the coschedule chain by a weighted count sum mod N); one
+    /// state per class is always proper.
+    Multicolor {
+        /// Color class of every state.
+        colors: &'a [u32],
+        /// OS threads per sweep (`0` auto-detects).
+        threads: usize,
+    },
+}
+
+impl StationaryMethod<'_> {
+    /// The `obs` counter this method's sweeps are recorded on.
+    fn counter(&self) -> &'static str {
+        match self {
+            StationaryMethod::GaussSeidel => "lp.gauss_seidel.sweeps",
+            StationaryMethod::Sor => "lp.sor.sweeps",
+            StationaryMethod::Multicolor { .. } => "lp.multicolor.sweeps",
+        }
+    }
+}
+
+/// Solves `pi Q = 0`, `sum(pi) = 1` for an irreducible CTMC by relaxation
+/// sweeps in the order `method` picks.
 ///
 /// `inflow` row `j` lists the incoming transitions `(i, q_ij)` (self-loops
 /// excluded); `outflow[j]` is state `j`'s total off-diagonal outflow
-/// `-q_jj`. Each sweep updates `pi_j <- inflow_j(pi) / outflow_j` in place
-/// (so new values propagate within the sweep) and renormalises; iteration
-/// stops when the relative balance residual
+/// `-q_jj`. Each sweep relaxes every state once in place and renormalises;
+/// iteration stops when the relative balance residual
 /// `max_j |inflow_j(pi) - pi_j outflow_j| / max_j(pi_j outflow_j)` drops
-/// below `tol`.
+/// below `tol`. Sweeps consumed are recorded on the method's `obs` counter
+/// (`lp.gauss_seidel.sweeps`, `lp.sor.sweeps` or `lp.multicolor.sweeps`).
 ///
 /// # Errors
 ///
-/// [`SparseError::DimensionMismatch`] for inconsistent inputs,
-/// [`SparseError::Degenerate`] if some state has non-positive outflow, and
-/// [`SparseError::NoConvergence`] if `max_sweeps` is exhausted.
-pub fn stationary_gauss_seidel(
+/// [`SparseError::DimensionMismatch`] for inconsistent inputs (including a
+/// coloring of the wrong length), [`SparseError::Degenerate`] if some state
+/// has non-positive outflow, [`SparseError::InvalidColoring`] if two
+/// adjacent states share a color, and [`SparseError::NoConvergence`] if
+/// `max_sweeps` is exhausted.
+pub fn stationary(
     inflow: &Csr,
     outflow: &[f64],
+    method: StationaryMethod<'_>,
     tol: f64,
     max_sweeps: usize,
 ) -> Result<Vec<f64>, SparseError> {
@@ -283,49 +332,206 @@ pub fn stationary_gauss_seidel(
     if n == 1 {
         return Ok(vec![1.0]);
     }
-
+    let solve = Solve {
+        inflow,
+        outflow,
+        method,
+        tol,
+        max_sweeps,
+    };
     let mut pi = vec![1.0 / n as f64; n];
-    let mut residual = f64::INFINITY;
-    for sweep in 0..max_sweeps {
-        // One in-place sweep, tracking the balance residual as we go. The
-        // residual uses the pre-update pi_j, so it is an upper bound on the
-        // post-sweep imbalance once the iteration has settled.
-        let mut max_gap = 0.0f64;
-        let mut max_flow = 0.0f64;
-        for j in 0..n {
-            let (cols, vals) = inflow.row(j);
+    let StationaryMethod::Multicolor { colors, threads } = method else {
+        let cells = Cell::from_mut(&mut pi[..]).as_slice_of_cells();
+        solve.run(cells, |omega| solve.relax(cells, 0..n, omega))?;
+        return Ok(pi);
+    };
+    let order = color_order(inflow, colors)?;
+    let threads = if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        threads
+    };
+    if threads <= 1 {
+        let cells = Cell::from_mut(&mut pi[..]).as_slice_of_cells();
+        let states = || order.iter().map(|&j| j as usize);
+        solve.run(cells, |omega| solve.relax(cells, states(), omega))?;
+        return Ok(pi);
+    }
+    // Concurrent class updates share the iterate through atomic
+    // bit-pattern cells; relaxed ordering suffices because no state reads
+    // a cell being written (the coloring guarantees it) and thread
+    // spawn/join and the per-class barrier fence each step.
+    let atoms: Vec<AtomicU64> = pi.iter().map(|p| AtomicU64::new(p.to_bits())).collect();
+    let classes: Vec<&[u32]> = order
+        .chunk_by(|&a, &b| colors[a as usize] == colors[b as usize])
+        .collect();
+    solve.run(&atoms, |omega| {
+        let barrier = Barrier::new(threads);
+        let mut partials = vec![(0.0f64, 0.0f64); threads];
+        std::thread::scope(|s| {
+            for (tid, slot) in partials.iter_mut().enumerate() {
+                let (barrier, solve, atoms, classes) = (&barrier, &solve, &atoms, &classes);
+                s.spawn(move || {
+                    let (mut gap, mut flow) = (0.0f64, 0.0f64);
+                    for class in classes {
+                        let chunk = class.len().div_ceil(threads);
+                        let lo = (tid * chunk).min(class.len());
+                        let hi = ((tid + 1) * chunk).min(class.len());
+                        let span = class[lo..hi].iter().map(|&j| j as usize);
+                        let (g, f) = solve.relax(atoms, span, omega);
+                        gap = gap.max(g);
+                        flow = flow.max(f);
+                        // A class never reads values its predecessor is
+                        // still writing.
+                        barrier.wait();
+                    }
+                    *slot = (gap, flow);
+                });
+            }
+        });
+        partials
+            .iter()
+            .fold((0.0, 0.0), |(gap, flow), &(g, f)| (gap.max(g), flow.max(f)))
+    })?;
+    Ok(atoms
+        .into_iter()
+        .map(|p| f64::from_bits(p.into_inner()))
+        .collect())
+}
+
+/// One cell of the iterate: a plain [`Cell`] when one thread sweeps, an
+/// atomic bit pattern when color classes update concurrently.
+trait Slot {
+    fn read(&self) -> f64;
+    fn write(&self, value: f64);
+}
+
+impl Slot for Cell<f64> {
+    fn read(&self) -> f64 {
+        self.get()
+    }
+
+    fn write(&self, value: f64) {
+        self.set(value);
+    }
+}
+
+impl Slot for AtomicU64 {
+    fn read(&self) -> f64 {
+        f64::from_bits(self.load(Ordering::Relaxed))
+    }
+
+    fn write(&self, value: f64) {
+        self.store(value.to_bits(), Ordering::Relaxed);
+    }
+}
+
+/// One stationary solve's fixed inputs.
+struct Solve<'a> {
+    inflow: &'a Csr,
+    outflow: &'a [f64],
+    method: StationaryMethod<'a>,
+    tol: f64,
+    max_sweeps: usize,
+}
+
+impl Solve<'_> {
+    /// Relaxes the states of `order` in place with the current omega and
+    /// returns their residual contributions `(max gap, max flow)`. The
+    /// residual uses the pre-update `pi_j`, so it is an upper bound on the
+    /// post-sweep imbalance once the iteration has settled.
+    fn relax<S: Slot>(
+        &self,
+        pi: &[S],
+        order: impl Iterator<Item = usize>,
+        omega: f64,
+    ) -> (f64, f64) {
+        let (mut max_gap, mut max_flow) = (0.0f64, 0.0f64);
+        for j in order {
+            let (cols, vals) = self.inflow.row(j);
             let incoming: f64 = cols
                 .iter()
                 .zip(vals)
-                .map(|(&i, &q)| pi[i as usize] * q)
+                .map(|(&i, &q)| pi[i as usize].read() * q)
                 .sum();
-            let old_flow = pi[j] * outflow[j];
+            let old = pi[j].read();
+            let old_flow = old * self.outflow[j];
             max_gap = max_gap.max((incoming - old_flow).abs());
             max_flow = max_flow.max(old_flow.max(incoming));
-            pi[j] = incoming / outflow[j];
+            let relaxed = (1.0 - omega) * old + omega * (incoming / self.outflow[j]);
+            pi[j].write(relaxed.max(0.0));
         }
-        let total: f64 = pi.iter().sum();
-        if total <= 0.0 || !total.is_finite() {
-            return Err(SparseError::Degenerate(
-                "iterate degenerated to a non-positive distribution".into(),
-            ));
+        (max_gap, max_flow)
+    }
+
+    /// The sweep loop every method shares: `sweep(omega)` relaxes every
+    /// state once; the loop renormalises, checks the residual, adapts
+    /// omega (all methods but Gauss–Seidel) and records the solve.
+    fn run<S: Slot>(
+        &self,
+        pi: &[S],
+        mut sweep: impl FnMut(f64) -> (f64, f64),
+    ) -> Result<(), SparseError> {
+        let adaptive = self.method != StationaryMethod::GaussSeidel;
+        let mut schedule = OmegaSchedule::new();
+        let mut omega = 1.0;
+        let mut residual = f64::INFINITY;
+        for done in 1..=self.max_sweeps {
+            let (max_gap, max_flow) = sweep(omega);
+            let total: f64 = pi.iter().map(Slot::read).sum();
+            if total <= 0.0 || !total.is_finite() {
+                return Err(SparseError::Degenerate(
+                    "iterate degenerated to a non-positive distribution".into(),
+                ));
+            }
+            let inv = 1.0 / total;
+            for p in pi {
+                p.write(p.read() * inv);
+            }
+            residual = if max_flow > 0.0 {
+                max_gap / max_flow
+            } else {
+                f64::INFINITY
+            };
+            if residual < self.tol {
+                record_stationary_solve(self.method.counter(), done, residual);
+                return Ok(());
+            }
+            if adaptive {
+                omega = schedule.observe(residual);
+            }
         }
-        let inv = 1.0 / total;
-        for p in &mut pi {
-            *p *= inv;
-        }
-        residual = if max_flow > 0.0 {
-            max_gap / max_flow
-        } else {
-            f64::INFINITY
-        };
-        if residual < tol {
-            record_stationary_solve("lp.gauss_seidel.sweeps", sweep + 1, residual);
-            return Ok(pi);
+        record_stationary_solve(self.method.counter(), self.max_sweeps, residual);
+        Err(SparseError::NoConvergence(residual))
+    }
+}
+
+/// Validates `colors` against the chain and returns the multi-colored
+/// sweep order: classes in ascending color, states in index order within
+/// a class.
+fn color_order(inflow: &Csr, colors: &[u32]) -> Result<Vec<u32>, SparseError> {
+    let n = inflow.nrows();
+    if colors.len() != n {
+        return Err(SparseError::DimensionMismatch {
+            expected: n,
+            found: colors.len(),
+        });
+    }
+    for j in 0..n {
+        let (cols, _) = inflow.row(j);
+        for &i in cols {
+            if i as usize != j && colors[i as usize] == colors[j] {
+                return Err(SparseError::InvalidColoring {
+                    state: j,
+                    neighbor: i as usize,
+                });
+            }
         }
     }
-    record_stationary_solve("lp.gauss_seidel.sweeps", max_sweeps, residual);
-    Err(SparseError::NoConvergence(residual))
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    // Stable, so index order survives within each class.
+    order.sort_by_key(|&j| colors[j as usize]);
+    Ok(order)
 }
 
 /// Reports one stationary solve to the current `obs` recorder: sweeps
@@ -443,318 +649,14 @@ impl OmegaSchedule {
     }
 }
 
-/// Solves `pi Q = 0`, `sum(pi) = 1` by successive over-relaxation with an
-/// adaptive omega ([`OmegaSchedule`]-controlled): the Gauss–Seidel update
-/// relaxed as `pi_j <- (1 - w) pi_j + w inflow_j(pi) / outflow_j`, projected
-/// onto non-negative values. Inputs, residual definition and error
-/// conditions match [`stationary_gauss_seidel`]; at the same tolerance the
-/// two agree on the fixed point while SOR typically needs several times
-/// fewer sweeps on slowly mixing chains.
-///
-/// # Errors
-///
-/// Same conditions as [`stationary_gauss_seidel`].
-pub fn stationary_sor(
-    inflow: &Csr,
-    outflow: &[f64],
-    tol: f64,
-    max_sweeps: usize,
-) -> Result<Vec<f64>, SparseError> {
-    let n = check_stationary_inputs(inflow, outflow)?;
-    if n == 1 {
-        return Ok(vec![1.0]);
-    }
-
-    let mut pi = vec![1.0 / n as f64; n];
-    let mut residual = f64::INFINITY;
-    let mut schedule = OmegaSchedule::new();
-    let mut omega = 1.0;
-    for sweep in 0..max_sweeps {
-        let mut max_gap = 0.0f64;
-        let mut max_flow = 0.0f64;
-        for j in 0..n {
-            let (cols, vals) = inflow.row(j);
-            let incoming: f64 = cols
-                .iter()
-                .zip(vals)
-                .map(|(&i, &q)| pi[i as usize] * q)
-                .sum();
-            let old = pi[j];
-            let old_flow = old * outflow[j];
-            max_gap = max_gap.max((incoming - old_flow).abs());
-            max_flow = max_flow.max(old_flow.max(incoming));
-            let relaxed = (1.0 - omega) * old + omega * (incoming / outflow[j]);
-            pi[j] = relaxed.max(0.0);
-        }
-        let total: f64 = pi.iter().sum();
-        if total <= 0.0 || !total.is_finite() {
-            return Err(SparseError::Degenerate(
-                "iterate degenerated to a non-positive distribution".into(),
-            ));
-        }
-        let inv = 1.0 / total;
-        for p in &mut pi {
-            *p *= inv;
-        }
-        residual = if max_flow > 0.0 {
-            max_gap / max_flow
-        } else {
-            f64::INFINITY
-        };
-        if residual < tol {
-            record_stationary_solve("lp.sor.sweeps", sweep + 1, residual);
-            return Ok(pi);
-        }
-        omega = schedule.observe(residual);
-    }
-    record_stationary_solve("lp.sor.sweeps", max_sweeps, residual);
-    Err(SparseError::NoConvergence(residual))
-}
-
-/// A proper coloring of the states of a (structurally symmetric view of a)
-/// sparse matrix: adjacent states — any pair linked by a stored entry in
-/// either direction — receive different colors. Greedy first-fit in state
-/// order; for the lattice-like coschedule chains this yields a handful of
-/// colors, each class large enough to split across threads.
-///
-/// # Panics
-///
-/// Panics if the matrix is not square.
-pub fn greedy_coloring(matrix: &Csr) -> Vec<u32> {
-    let n = matrix.nrows();
-    assert_eq!(n, matrix.ncols(), "coloring needs a square matrix");
-    // Symmetrized adjacency in CSR form (duplicates are harmless to
-    // first-fit, so no dedup pass).
-    let mut deg = vec![0usize; n + 1];
-    for j in 0..n {
-        let (cols, _) = matrix.row(j);
-        for &i in cols {
-            if i as usize != j {
-                deg[j + 1] += 1;
-                deg[i as usize + 1] += 1;
-            }
-        }
-    }
-    for v in 1..=n {
-        deg[v] += deg[v - 1];
-    }
-    let mut adj = vec![0u32; deg[n]];
-    let mut cursor = deg[..n].to_vec();
-    for j in 0..n {
-        let (cols, _) = matrix.row(j);
-        for &i in cols {
-            if i as usize != j {
-                adj[cursor[j]] = i;
-                cursor[j] += 1;
-                adj[cursor[i as usize]] = j as u32;
-                cursor[i as usize] += 1;
-            }
-        }
-    }
-    let mut colors = vec![0u32; n];
-    // `stamp[c] == j` marks color c as used by a neighbor of state j.
-    let mut stamp = vec![usize::MAX; n + 1];
-    for j in 0..n {
-        for &nb in &adj[deg[j]..deg[j + 1]] {
-            if (nb as usize) < j {
-                stamp[colors[nb as usize] as usize] = j;
-            }
-        }
-        let mut c = 0;
-        while stamp[c] == j {
-            c += 1;
-        }
-        colors[j] = c as u32;
-    }
-    colors
-}
-
-/// Multi-colored SOR: the stationary solver of [`stationary_sor`] with the
-/// sweep reordered by color class so every class updates in parallel.
-///
-/// `colors[j]` assigns state `j` to a class; within a class no state reads
-/// another (the coloring is validated against `inflow` up front), so class
-/// members update concurrently across up to `threads` OS threads
-/// (`0` auto-detects, `1` runs inline). The update *order* — classes in
-/// ascending color, states in index order within a class — is fixed, so
-/// results are bitwise identical for every thread count.
-///
-/// Callers that know the chain's structure can supply a closed-form
-/// coloring (the `symbiosis` crate colors the coschedule chain by a
-/// weighted count sum mod N); [`greedy_coloring`] covers the rest.
-///
-/// # Errors
-///
-/// The conditions of [`stationary_gauss_seidel`], plus
-/// [`SparseError::InvalidColoring`] if two adjacent states share a color
-/// and [`SparseError::DimensionMismatch`] if `colors` has the wrong length.
-pub fn stationary_multicolor(
-    inflow: &Csr,
-    outflow: &[f64],
-    colors: &[u32],
-    tol: f64,
-    max_sweeps: usize,
-    threads: usize,
-) -> Result<Vec<f64>, SparseError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let n = check_stationary_inputs(inflow, outflow)?;
-    if n == 1 {
-        return Ok(vec![1.0]);
-    }
-    if colors.len() != n {
-        return Err(SparseError::DimensionMismatch {
-            expected: n,
-            found: colors.len(),
-        });
-    }
-    for j in 0..n {
-        let (cols, _) = inflow.row(j);
-        for &i in cols {
-            if i as usize != j && colors[i as usize] == colors[j] {
-                return Err(SparseError::InvalidColoring {
-                    state: j,
-                    neighbor: i as usize,
-                });
-            }
-        }
-    }
-
-    // Bucket states by color, preserving index order within each class.
-    let ncolors = colors.iter().map(|&c| c as usize + 1).max().unwrap_or(1);
-    let mut class_ptr = vec![0usize; ncolors + 1];
-    for &c in colors {
-        class_ptr[c as usize + 1] += 1;
-    }
-    for c in 1..=ncolors {
-        class_ptr[c] += class_ptr[c - 1];
-    }
-    let mut classes = vec![0u32; n];
-    let mut cursor = class_ptr[..ncolors].to_vec();
-    for (j, &c) in colors.iter().enumerate() {
-        classes[cursor[c as usize]] = j as u32;
-        cursor[c as usize] += 1;
-    }
-
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    // The iterate lives in atomic bit-pattern cells so concurrent class
-    // updates are safe Rust; relaxed ordering suffices because no state
-    // reads a cell being written (the coloring guarantees it) and thread
-    // join/spawn fences each sweep. Single-threaded runs reuse the same
-    // path, so the arithmetic is identical everywhere.
-    let pi: Vec<AtomicU64> = (0..n)
-        .map(|_| AtomicU64::new((1.0 / n as f64).to_bits()))
-        .collect();
-
-    // One color class's contiguous span of the state list, relaxed with the
-    // current omega; returns this span's residual contributions.
-    let relax_span = |span: &[u32], omega: f64| -> (f64, f64) {
-        let mut max_gap = 0.0f64;
-        let mut max_flow = 0.0f64;
-        for &j in span {
-            let j = j as usize;
-            let (cols, vals) = inflow.row(j);
-            let incoming: f64 = cols
-                .iter()
-                .zip(vals)
-                .map(|(&i, &q)| f64::from_bits(pi[i as usize].load(Ordering::Relaxed)) * q)
-                .sum();
-            let old = f64::from_bits(pi[j].load(Ordering::Relaxed));
-            let old_flow = old * outflow[j];
-            max_gap = max_gap.max((incoming - old_flow).abs());
-            max_flow = max_flow.max(old_flow.max(incoming));
-            let relaxed = (1.0 - omega) * old + omega * (incoming / outflow[j]);
-            pi[j].store(relaxed.max(0.0).to_bits(), Ordering::Relaxed);
-        }
-        (max_gap, max_flow)
-    };
-
-    let mut residual = f64::INFINITY;
-    let mut schedule = OmegaSchedule::new();
-    let mut omega = 1.0;
-    for sweep in 0..max_sweeps {
-        let (mut max_gap, mut max_flow) = (0.0f64, 0.0f64);
-        if threads <= 1 {
-            for c in 0..ncolors {
-                let (gap, flow) = relax_span(&classes[class_ptr[c]..class_ptr[c + 1]], omega);
-                max_gap = max_gap.max(gap);
-                max_flow = max_flow.max(flow);
-            }
-        } else {
-            // One scope per sweep; a barrier separates color classes so a
-            // class never reads values its predecessor is still writing.
-            let barrier = std::sync::Barrier::new(threads);
-            let mut partials = vec![(0.0f64, 0.0f64); threads];
-            std::thread::scope(|s| {
-                for (tid, slot) in partials.iter_mut().enumerate() {
-                    let barrier = &barrier;
-                    let relax_span = &relax_span;
-                    let class_ptr = &class_ptr;
-                    let classes = &classes;
-                    s.spawn(move || {
-                        let (mut gap, mut flow) = (0.0f64, 0.0f64);
-                        for c in 0..ncolors {
-                            let class = &classes[class_ptr[c]..class_ptr[c + 1]];
-                            let chunk = class.len().div_ceil(threads);
-                            let lo = (tid * chunk).min(class.len());
-                            let hi = ((tid + 1) * chunk).min(class.len());
-                            let (g, f) = relax_span(&class[lo..hi], omega);
-                            gap = gap.max(g);
-                            flow = flow.max(f);
-                            barrier.wait();
-                        }
-                        *slot = (gap, flow);
-                    });
-                }
-            });
-            for &(gap, flow) in &partials {
-                max_gap = max_gap.max(gap);
-                max_flow = max_flow.max(flow);
-            }
-        }
-
-        let total: f64 = pi
-            .iter()
-            .map(|p| f64::from_bits(p.load(Ordering::Relaxed)))
-            .sum();
-        if total <= 0.0 || !total.is_finite() {
-            return Err(SparseError::Degenerate(
-                "iterate degenerated to a non-positive distribution".into(),
-            ));
-        }
-        let inv = 1.0 / total;
-        for p in &pi {
-            let v = f64::from_bits(p.load(Ordering::Relaxed)) * inv;
-            p.store(v.to_bits(), Ordering::Relaxed);
-        }
-        residual = if max_flow > 0.0 {
-            max_gap / max_flow
-        } else {
-            f64::INFINITY
-        };
-        let done = residual < tol;
-        if done {
-            record_stationary_solve("lp.multicolor.sweeps", sweep + 1, residual);
-            return Ok(pi
-                .into_iter()
-                .map(|p| f64::from_bits(p.into_inner()))
-                .collect());
-        }
-        omega = schedule.observe(residual);
-    }
-    record_stationary_solve("lp.multicolor.sweeps", max_sweeps, residual);
-    Err(SparseError::NoConvergence(residual))
-}
-
 #[cfg(test)]
 mod tests {
+    use super::StationaryMethod::{GaussSeidel, Multicolor, Sor};
     use super::*;
+
+    fn multicolor(colors: &[u32], threads: usize) -> StationaryMethod<'_> {
+        Multicolor { colors, threads }
+    }
 
     #[test]
     fn csr_round_trips_triplets() {
@@ -782,7 +684,7 @@ mod tests {
     #[test]
     fn two_state_flip_chain() {
         let inflow = Csr::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 1.0)]);
-        let pi = stationary_gauss_seidel(&inflow, &[1.0, 2.0], 1e-13, 10_000).unwrap();
+        let pi = stationary(&inflow, &[1.0, 2.0], GaussSeidel, 1e-13, 10_000).unwrap();
         assert!((pi[0] - 2.0 / 3.0).abs() < 1e-10);
         assert!((pi[1] - 1.0 / 3.0).abs() < 1e-10);
     }
@@ -792,16 +694,18 @@ mod tests {
         let recorder = obs::Recorder::new();
         let _guard = obs::install(&recorder);
         let inflow = Csr::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 1.0)]);
-        stationary_gauss_seidel(&inflow, &[1.0, 2.0], 1e-13, 10_000).unwrap();
-        stationary_sor(&inflow, &[1.0, 2.0], 1e-13, 10_000).unwrap();
+        stationary(&inflow, &[1.0, 2.0], GaussSeidel, 1e-13, 10_000).unwrap();
+        stationary(&inflow, &[1.0, 2.0], Sor, 1e-13, 10_000).unwrap();
+        stationary(&inflow, &[1.0, 2.0], multicolor(&[0, 1], 1), 1e-13, 10_000).unwrap();
         let snap = recorder.snapshot();
         assert!(snap.counters["lp.gauss_seidel.sweeps"] >= 1);
         assert!(snap.counters["lp.sor.sweeps"] >= 1);
+        assert!(snap.counters["lp.multicolor.sweeps"] >= 1);
         // One final-residual sample per solve, every residual below tol
         // (−log10 ≥ 13).
         let hist = &snap.histograms["lp.solve.residual_neglog10"];
-        assert_eq!(hist.count, 2);
-        assert!(hist.sum >= 2.0 * 13.0, "residuals converged: {}", hist.sum);
+        assert_eq!(hist.count, 3);
+        assert!(hist.sum >= 3.0 * 13.0, "residuals converged: {}", hist.sum);
     }
 
     #[test]
@@ -821,7 +725,7 @@ mod tests {
             }
         }
         let inflow = Csr::from_triplets(n, n, &trips);
-        let pi = stationary_gauss_seidel(&inflow, &out, 1e-13, 100_000).unwrap();
+        let pi = stationary(&inflow, &out, GaussSeidel, 1e-13, 100_000).unwrap();
         let z: f64 = (0..n).map(|k| 0.5f64.powi(k as i32)).sum();
         for (k, &p) in pi.iter().enumerate() {
             let expect = 0.5f64.powi(k as i32) / z;
@@ -833,7 +737,7 @@ mod tests {
     fn zero_outflow_is_degenerate() {
         let inflow = Csr::from_triplets(2, 2, &[(0, 1, 1.0)]);
         assert!(matches!(
-            stationary_gauss_seidel(&inflow, &[1.0, 0.0], 1e-10, 100),
+            stationary(&inflow, &[1.0, 0.0], GaussSeidel, 1e-10, 100),
             Err(SparseError::Degenerate(_))
         ));
     }
@@ -842,7 +746,7 @@ mod tests {
     fn sweep_budget_is_enforced() {
         let inflow = Csr::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 1.0)]);
         assert!(matches!(
-            stationary_gauss_seidel(&inflow, &[1.0, 2.0], 1e-15, 1),
+            stationary(&inflow, &[1.0, 2.0], GaussSeidel, 1e-15, 1),
             Err(SparseError::NoConvergence(_))
         ));
     }
@@ -882,8 +786,8 @@ mod tests {
         for n in [2, 7, 40, 160] {
             for seed in [1u64, 0xBEEF, 0x1234_5678] {
                 let (inflow, out) = random_chain(n, seed);
-                let gs = stationary_gauss_seidel(&inflow, &out, 1e-13, 200_000).unwrap();
-                let sor = stationary_sor(&inflow, &out, 1e-13, 200_000).unwrap();
+                let gs = stationary(&inflow, &out, GaussSeidel, 1e-13, 200_000).unwrap();
+                let sor = stationary(&inflow, &out, Sor, 1e-13, 200_000).unwrap();
                 for (a, b) in gs.iter().zip(&sor) {
                     assert!((a - b).abs() < 1e-9, "n={n} seed={seed}: {a} vs {b}");
                 }
@@ -896,10 +800,13 @@ mod tests {
         for n in [2, 9, 64] {
             for seed in [3u64, 0xABCD] {
                 let (inflow, out) = random_chain(n, seed);
-                let colors = greedy_coloring(&inflow);
-                let gs = stationary_gauss_seidel(&inflow, &out, 1e-13, 200_000).unwrap();
-                let seq = stationary_multicolor(&inflow, &out, &colors, 1e-13, 200_000, 1).unwrap();
-                let par = stationary_multicolor(&inflow, &out, &colors, 1e-13, 200_000, 4).unwrap();
+                // One state per class is always a proper coloring.
+                let colors: Vec<u32> = (0..n as u32).collect();
+                let gs = stationary(&inflow, &out, GaussSeidel, 1e-13, 200_000).unwrap();
+                let seq =
+                    stationary(&inflow, &out, multicolor(&colors, 1), 1e-13, 200_000).unwrap();
+                let par =
+                    stationary(&inflow, &out, multicolor(&colors, 4), 1e-13, 200_000).unwrap();
                 assert_eq!(seq, par, "thread count must not change the result");
                 for (a, b) in gs.iter().zip(&seq) {
                     assert!((a - b).abs() < 1e-9, "n={n} seed={seed}: {a} vs {b}");
@@ -909,18 +816,16 @@ mod tests {
     }
 
     #[test]
-    fn greedy_coloring_is_proper() {
-        for n in [2, 9, 64, 200] {
-            let (inflow, _) = random_chain(n, 0x5EED);
-            let colors = greedy_coloring(&inflow);
-            for j in 0..n {
-                let (cols, _) = inflow.row(j);
-                for &i in cols {
-                    assert_ne!(
-                        colors[i as usize], colors[j],
-                        "edge {i} -> {j} shares color"
-                    );
-                }
+    fn one_state_per_class_multicolor_is_natural_order_sor() {
+        // Classes in ascending color are then the states in index order,
+        // so the colored sweep is the SOR sweep, bit for bit.
+        for n in [2, 9, 64] {
+            let (inflow, out) = random_chain(n, 0x5EED);
+            let colors: Vec<u32> = (0..n as u32).collect();
+            let sor = stationary(&inflow, &out, Sor, 1e-13, 200_000).unwrap();
+            for threads in [1, 3] {
+                let mc = stationary(&inflow, &out, multicolor(&colors, threads), 1e-13, 200_000);
+                assert_eq!(mc.unwrap(), sor, "n={n} threads={threads}");
             }
         }
     }
@@ -930,12 +835,12 @@ mod tests {
         let (inflow, out) = random_chain(8, 42);
         let bad = vec![0u32; 8];
         assert!(matches!(
-            stationary_multicolor(&inflow, &out, &bad, 1e-10, 100, 2),
+            stationary(&inflow, &out, multicolor(&bad, 2), 1e-10, 100),
             Err(SparseError::InvalidColoring { .. })
         ));
         let short = vec![0u32; 3];
         assert!(matches!(
-            stationary_multicolor(&inflow, &out, &short, 1e-10, 100, 2),
+            stationary(&inflow, &out, multicolor(&short, 2), 1e-10, 100),
             Err(SparseError::DimensionMismatch { .. })
         ));
     }
@@ -945,28 +850,28 @@ mod tests {
         // Zero outflow (absorbing state) is degenerate on every path.
         let inflow = Csr::from_triplets(2, 2, &[(0, 1, 1.0)]);
         assert!(matches!(
-            stationary_sor(&inflow, &[1.0, 0.0], 1e-10, 100),
+            stationary(&inflow, &[1.0, 0.0], Sor, 1e-10, 100),
             Err(SparseError::Degenerate(_))
         ));
         assert!(matches!(
-            stationary_multicolor(&inflow, &[1.0, 0.0], &[0, 1], 1e-10, 100, 1),
+            stationary(&inflow, &[1.0, 0.0], multicolor(&[0, 1], 1), 1e-10, 100),
             Err(SparseError::Degenerate(_))
         ));
         // Exhausted sweep budgets surface the last residual.
         let flip = Csr::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 1.0)]);
         assert!(matches!(
-            stationary_sor(&flip, &[1.0, 2.0], 1e-15, 1),
+            stationary(&flip, &[1.0, 2.0], Sor, 1e-15, 1),
             Err(SparseError::NoConvergence(_))
         ));
         assert!(matches!(
-            stationary_multicolor(&flip, &[1.0, 2.0], &[0, 1], 1e-15, 1, 2),
+            stationary(&flip, &[1.0, 2.0], multicolor(&[0, 1], 2), 1e-15, 1),
             Err(SparseError::NoConvergence(_))
         ));
         // Single-state chains are trivial on every path.
         let one = Csr::from_triplets(1, 1, &[]);
-        assert_eq!(stationary_sor(&one, &[0.0], 1e-10, 10).unwrap(), vec![1.0]);
+        assert_eq!(stationary(&one, &[0.0], Sor, 1e-10, 10).unwrap(), vec![1.0]);
         assert_eq!(
-            stationary_multicolor(&one, &[0.0], &[0], 1e-10, 10, 4).unwrap(),
+            stationary(&one, &[0.0], multicolor(&[0], 4), 1e-10, 10).unwrap(),
             vec![1.0]
         );
     }
@@ -991,8 +896,8 @@ mod tests {
             }
         }
         let inflow = Csr::from_triplets(n, n, &trips);
-        let gs = stationary_gauss_seidel(&inflow, &out, 1e-12, 1_000_000).unwrap();
-        let sor = stationary_sor(&inflow, &out, 1e-12, 1_000_000).unwrap();
+        let gs = stationary(&inflow, &out, GaussSeidel, 1e-12, 1_000_000).unwrap();
+        let sor = stationary(&inflow, &out, Sor, 1e-12, 1_000_000).unwrap();
         for (a, b) in gs.iter().zip(&sor) {
             assert!((a - b).abs() < 1e-8, "{a} vs {b}");
         }
@@ -1002,7 +907,7 @@ mod tests {
     fn single_state_chain_is_trivial() {
         let inflow = Csr::from_triplets(1, 1, &[]);
         assert_eq!(
-            stationary_gauss_seidel(&inflow, &[0.0], 1e-10, 10).unwrap(),
+            stationary(&inflow, &[0.0], GaussSeidel, 1e-10, 10).unwrap(),
             vec![1.0]
         );
     }

@@ -45,10 +45,10 @@
 //!
 //! | layer | name | type | site |
 //! |-------|------|------|------|
-//! | solver | `lp.gauss_seidel.sweeps` | counter | `lp::sparse::stationary_gauss_seidel` |
-//! | solver | `lp.sor.sweeps` | counter | `lp::sparse::stationary_sor` |
-//! | solver | `lp.multicolor.sweeps` | counter | `lp::sparse::stationary_multicolor` |
-//! | solver | `lp.solve.residual_neglog10` | histogram | final residual, all three stationary solvers |
+//! | solver | `lp.gauss_seidel.sweeps` | counter | `lp::sparse::stationary` with `StationaryMethod::GaussSeidel` |
+//! | solver | `lp.sor.sweeps` | counter | `lp::sparse::stationary` with `StationaryMethod::Sor` |
+//! | solver | `lp.multicolor.sweeps` | counter | `lp::sparse::stationary` with `StationaryMethod::Multicolor` |
+//! | solver | `lp.solve.residual_neglog10` | histogram | final residual of every `lp::sparse::stationary` solve |
 //! | solver | `lp.colgen.pricing_rounds` | counter | `lp::revised::solve_colgen` |
 //! | solver | `solver.markov.dense` / `.gauss_seidel` / `.sor` / `.multicolor` | counter | dense↔sparse dispatch in `symbiosis::fcfs` |
 //! | solver | `fcfs.markov_solve` | span | whole stationary solve |

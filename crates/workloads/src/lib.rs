@@ -35,5 +35,5 @@ pub mod store;
 pub mod table;
 
 pub use spec::{spec2006, spec_names, spec_profile};
-pub use store::{table_fingerprint, StoreOutcome, TableStore};
+pub use store::{table_fingerprint, Fnv64, StoreOutcome, TableStore};
 pub use table::{PerfTable, TableError, WorkUnit, WorkloadView};

@@ -45,9 +45,10 @@ const MAGIC: &[u8; 8] = b"SYMBPERF";
 const VERSION: u32 = 1;
 
 /// FNV-1a 64-bit running hash — stable across platforms and releases
-/// (unlike `std::hash`), used for both the file checksum and the store key.
+/// (unlike `std::hash`), used for the file checksum, the store key, the
+/// table content fingerprint and the `dist` frame checksum.
 #[derive(Clone, Copy)]
-pub(crate) struct Fnv64(u64);
+pub struct Fnv64(u64);
 
 impl Fnv64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -55,6 +56,13 @@ impl Fnv64 {
 
     pub(crate) fn new() -> Self {
         Fnv64(Self::OFFSET)
+    }
+
+    /// FNV-1a 64 over `bytes` in one call.
+    pub fn digest(bytes: &[u8]) -> u64 {
+        let mut fnv = Fnv64::new();
+        fnv.write(bytes);
+        fnv.finish()
     }
 
     pub(crate) fn write(&mut self, bytes: &[u8]) {
@@ -94,9 +102,7 @@ impl PerfTable {
     /// fingerprint, and workers whose [`TableStore`] already holds it skip
     /// the transfer.
     pub fn content_fingerprint(&self) -> u64 {
-        let mut fnv = Fnv64::new();
-        fnv.write(&self.to_bytes());
-        fnv.finish()
+        Fnv64::digest(&self.to_bytes())
     }
 }
 
@@ -181,9 +187,8 @@ impl PerfTable {
                 put_u64(&mut out, ipc.to_bits());
             }
         }
-        let mut fnv = Fnv64::new();
-        fnv.write(&out);
-        put_u64(&mut out, fnv.finish());
+        let checksum = Fnv64::digest(&out);
+        put_u64(&mut out, checksum);
         out
     }
 
@@ -208,9 +213,7 @@ impl PerfTable {
         }
         let (payload, tail) = buf.split_at(buf.len() - 8);
         let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-        let mut fnv = Fnv64::new();
-        fnv.write(payload);
-        if fnv.finish() != stored {
+        if Fnv64::digest(payload) != stored {
             return Err(TableError::Format(
                 "checksum mismatch (file corrupted)".into(),
             ));
@@ -548,9 +551,7 @@ impl TableStore {
     /// [`TableError::Io`] on filesystem failures.
     pub fn save_content(&self, table: &PerfTable) -> Result<u64, TableError> {
         let bytes = table.to_bytes();
-        let mut fnv = Fnv64::new();
-        fnv.write(&bytes);
-        let fingerprint = fnv.finish();
+        let fingerprint = Fnv64::digest(&bytes);
         self.write_atomic(&self.path_for_content(fingerprint), &bytes)?;
         Ok(fingerprint)
     }
@@ -661,9 +662,7 @@ mod tests {
         // NaN bits and re-stamp the checksum so only the NaN check trips.
         let ipc_at = bytes.len() - 16;
         bytes[ipc_at..ipc_at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        let mut fnv = Fnv64::new();
-        fnv.write(&bytes[..bytes.len() - 8]);
-        let sum = fnv.finish();
+        let sum = Fnv64::digest(&bytes[..bytes.len() - 8]);
         let at = bytes.len() - 8;
         bytes[at..].copy_from_slice(&sum.to_le_bytes());
         let err = PerfTable::from_bytes(&bytes).unwrap_err();
