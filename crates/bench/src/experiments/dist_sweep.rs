@@ -14,7 +14,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use dist::{run_worker, Coordinator, DistConfig, DistOutcome, TcpTransport, WorkerConfig};
+use dist::{run_worker, Coordinator, DistOutcome, TcpTransport, WorkerConfig, WorkerLog};
 use session::Policy;
 
 use crate::study::{Chip, Study};
@@ -24,18 +24,6 @@ const LOCAL_WORKERS: usize = 3;
 
 /// The policies swept — the headline throughput trio.
 const POLICIES: [Policy; 3] = [Policy::Worst, Policy::FcfsEvent, Policy::Optimal];
-
-/// One worker's accounting line.
-pub struct WorkerLine {
-    /// Peer label (TCP address of the connected worker).
-    pub peer: String,
-    /// Chunks the worker completed.
-    pub chunks: usize,
-    /// Sweep rows the worker produced.
-    pub rows: usize,
-    /// Rows per second over the worker's connection lifetime.
-    pub rows_per_sec: f64,
-}
 
 /// The distributed-sweep artefact.
 pub struct DistSweep {
@@ -51,8 +39,8 @@ pub struct DistSweep {
     pub single_wall: Duration,
     /// Wall time of the distributed run (including worker ramp-up).
     pub dist_wall: Duration,
-    /// Per-worker accounting.
-    pub lines: Vec<WorkerLine>,
+    /// Per-worker accounting, in connection order.
+    pub lines: Vec<WorkerLog>,
     /// Mean OPTIMAL gain over FCFS from the merged report (the sweep's
     /// headline number, proving the merged rows are usable as-is).
     pub mean_gain: f64,
@@ -74,8 +62,7 @@ pub fn run(study: &Study) -> Result<DistSweep, String> {
     let reference = sweep().run().map_err(|e| e.to_string())?;
     let single_wall = t0.elapsed();
 
-    let coordinator =
-        Coordinator::from_sweep(sweep(), DistConfig::default()).map_err(|e| e.to_string())?;
+    let coordinator = cfg.coordinator(sweep())?;
     let t1 = Instant::now();
     let (outcome, workers, mode) = match &cfg.distribute {
         Some(spec) => {
@@ -103,16 +90,7 @@ pub fn run(study: &Study) -> Result<DistSweep, String> {
         chunks: outcome.chunks,
         single_wall,
         dist_wall,
-        lines: outcome
-            .workers
-            .iter()
-            .map(|w| WorkerLine {
-                peer: w.peer.clone(),
-                chunks: w.chunks,
-                rows: w.rows,
-                rows_per_sec: w.rows_per_sec(),
-            })
-            .collect(),
+        lines: outcome.workers,
         mean_gain: outcome.report.mean_gain(Policy::Optimal, Policy::FcfsEvent),
     })
 }
@@ -194,7 +172,7 @@ impl fmt::Display for DistSweep {
                 w.peer,
                 w.chunks,
                 w.rows,
-                w.rows_per_sec
+                w.rows_per_sec()
             )?;
         }
         write!(

@@ -190,9 +190,14 @@ impl StudyConfig {
 
     /// The distributed-sweep tuning this config carries: the default
     /// [`dist::DistConfig`] with the CLI retry / timeout / hedging knobs
-    /// applied. Every coordinator the bench crate starts goes through
-    /// here so `--dist-retries`, `--dist-timeout-secs` and `--dist-hedge`
-    /// reach them all.
+    /// applied. Every coordinator the bench crate starts for a sweep
+    /// ([`StudyConfig::run_sweep`], the `dist_sweep` experiment) is built
+    /// by [`StudyConfig::coordinator`] with this tuning, so
+    /// `--dist-retries`, `--dist-timeout-secs` and `--dist-hedge` reach
+    /// them all. The `chaos` experiment is the exception: its fault storm
+    /// runs under its own fixed config (one-workload chunks, short
+    /// timeouts, hedging on) so its printed evidence does not depend on
+    /// the flags.
     pub fn dist_config(&self) -> dist::DistConfig {
         dist::DistConfig {
             retry_budget: self.dist_retries,
@@ -200,6 +205,16 @@ impl StudyConfig {
             hedge: self.dist_hedge,
             ..dist::DistConfig::default()
         }
+    }
+
+    /// A distributed coordinator for a configured sweep, tuned by
+    /// [`StudyConfig::dist_config`].
+    ///
+    /// # Errors
+    ///
+    /// Sweep validation failures as text.
+    pub fn coordinator(&self, sweep: SweepBuilder<'_>) -> Result<dist::Coordinator, String> {
+        dist::Coordinator::from_sweep(sweep, self.dist_config()).map_err(|e| e.to_string())
     }
 
     /// Runs a configured sweep the way this config asks: in-process
@@ -221,16 +236,12 @@ impl StudyConfig {
         match &self.distribute {
             None => sweep.run().map_err(|e| e.to_string()),
             Some(spec) => {
-                let coordinator = dist::Coordinator::from_sweep(sweep, self.dist_config())
-                    .map_err(|e| e.to_string())?;
-                let outcome = coordinator
+                let outcome = self
+                    .coordinator(sweep)?
                     .serve_tcp(&spec.addr, spec.workers)
                     .map_err(|e| e.to_string())?;
                 for w in &outcome.workers {
-                    eprintln!(
-                        "distributed sweep: worker {} answered {} chunk(s) / {} row(s) in {:.1?}",
-                        w.peer, w.chunks, w.rows, w.wall
-                    );
+                    eprintln!("distributed sweep: worker {w}");
                 }
                 Ok(outcome.report)
             }
@@ -614,6 +625,21 @@ mod tests {
         let cfg = StudyConfig::from_args(["--sample", "3", "--fast"].map(String::from)).unwrap();
         assert_eq!(cfg.sample, Some(3), "explicit sample beats the preset");
         assert_eq!(cfg.fcfs_jobs, StudyConfig::fast().fcfs_jobs);
+    }
+
+    #[test]
+    fn coordinator_carries_the_dist_tuning_knobs() {
+        let names: Vec<String> = (0..3).map(|b| format!("b{b}")).collect();
+        let table = PerfTable::synthetic(names, 2, |combo| vec![1.0; combo.len()]).unwrap();
+        let cfg = StudyConfig {
+            dist_retries: 5,
+            dist_timeout_secs: 7,
+            dist_hedge: true,
+            ..StudyConfig::fast()
+        };
+        let sweep = cfg.sweep(&table, vec![vec![0, 1], vec![1, 2]]);
+        let coordinator = cfg.coordinator(sweep.policies([session::Policy::Optimal]));
+        assert_eq!(coordinator.unwrap().config(), &cfg.dist_config());
     }
 
     #[test]

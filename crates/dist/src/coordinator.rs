@@ -47,7 +47,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use session::{Policy, SessionReport, SweepBuilder, SweepReport, SweepRow, SweepSpec};
-use workloads::PerfTable;
+use workloads::{Fnv64, PerfTable};
 
 use crate::backoff::Backoff;
 use crate::proto::{Frame, PROTOCOL_VERSION};
@@ -55,7 +55,7 @@ use crate::transport::{TcpTransport, Transport};
 use crate::DistError;
 
 /// Coordinator tuning knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistConfig {
     /// Workloads per chunk; 0 (the default) sizes chunks automatically
     /// (~32 chunks over the whole sweep, at least 1 workload each) so the
@@ -260,9 +260,12 @@ impl Coordinator {
             .step_by(chunk_size)
             .map(|start| start..(start + chunk_size).min(workloads.len()))
             .collect();
+        // One serialisation: the fingerprint is the digest of the very
+        // bytes shipped (what `PerfTable::content_fingerprint` computes).
+        let table_bytes = table.to_bytes();
         Ok(Coordinator {
-            table_bytes: table.to_bytes(),
-            fingerprint: table.content_fingerprint(),
+            fingerprint: Fnv64::digest(&table_bytes),
+            table_bytes,
             workloads,
             chunks,
             spec,
@@ -288,6 +291,11 @@ impl Coordinator {
     /// Number of chunks the workload list was split into.
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
+    }
+
+    /// The tuning this coordinator runs with.
+    pub fn config(&self) -> &DistConfig {
+        &self.config
     }
 
     /// Runs the sweep over an explicit set of connected transports (one

@@ -30,11 +30,10 @@
 //! checksum     u64       FNV-1a 64 over every preceding byte
 //! ```
 //!
-//! Combos are written in sorted order so saving the same table twice
-//! produces identical bytes (the in-memory `HashMap` iteration order never
-//! leaks into the file).
+//! Combos are written in sorted order (the [`PerfTable::recorded_combos`]
+//! order), so a table's bytes depend only on its contents, never on where
+//! its rows sit in memory.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use simproc::{BenchmarkProfile, CacheGeometry, Machine, MachineConfig, Topology};
@@ -162,8 +161,8 @@ impl<'a> Cursor<'a> {
 impl PerfTable {
     /// Serialises the table to the documented `SPT1` byte format.
     ///
-    /// The output is deterministic: the same table always encodes to the
-    /// same bytes, regardless of internal hash-map order.
+    /// The output is deterministic: equal tables always encode to the same
+    /// bytes, however they were built.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
@@ -175,18 +174,16 @@ impl PerfTable {
             out.extend_from_slice(name.as_bytes());
             put_u64(&mut out, solo.to_bits());
         }
-        let mut combos: Vec<&Vec<usize>> = self.co_ipc.keys().collect();
-        combos.sort();
-        put_u64(&mut out, combos.len() as u64);
-        for combo in combos {
+        put_u64(&mut out, self.len() as u64);
+        self.for_each_sorted(|combo, ipcs| {
             put_u32(&mut out, combo.len() as u32);
             for &idx in combo {
                 put_u32(&mut out, idx as u32);
             }
-            for &ipc in &self.co_ipc[combo] {
+            for &ipc in ipcs {
                 put_u64(&mut out, ipc.to_bits());
             }
-        }
+        });
         let checksum = Fnv64::digest(&out);
         put_u64(&mut out, checksum);
         out
@@ -253,59 +250,65 @@ impl PerfTable {
             solo_ipc.push(solo);
         }
         let n_combos = cur.take_u64("combo count")? as usize;
-        let mut co_ipc = HashMap::with_capacity(n_combos);
-        for c in 0..n_combos {
-            let len = cur.take_u32("combo length")? as usize;
-            if len == 0 || len > contexts {
-                return Err(TableError::Format(format!(
-                    "combo {c} has size {len} (contexts {contexts})"
-                )));
-            }
-            let mut combo = Vec::with_capacity(len);
-            for _ in 0..len {
-                let idx = cur.take_u32("combo index")? as usize;
-                if idx >= n_bench {
+        PerfTable::assemble(names, contexts, |rows| {
+            let mut combo = Vec::with_capacity(contexts);
+            let mut ipcs = Vec::with_capacity(contexts);
+            for c in 0..n_combos {
+                let len = cur.take_u32("combo length")? as usize;
+                if len == 0 || len > contexts {
                     return Err(TableError::Format(format!(
-                        "combo {c} references benchmark {idx} of {n_bench}"
+                        "combo {c} has size {len} (contexts {contexts})"
                     )));
                 }
-                combo.push(idx);
-            }
-            if !combo.windows(2).all(|w| w[0] <= w[1]) {
-                return Err(TableError::Format(format!("combo {c} is not sorted")));
-            }
-            let mut ipcs = Vec::with_capacity(len);
-            for _ in 0..len {
-                ipcs.push(cur.take_f64("slot IPC")?);
-            }
-            if co_ipc.insert(combo, ipcs).is_some() {
-                return Err(TableError::Format(format!("combo {c} is a duplicate")));
-            }
-        }
-        if cur.pos != payload.len() {
-            return Err(TableError::Format(format!(
-                "{} trailing bytes after the combo list",
-                payload.len() - cur.pos
-            )));
-        }
-        // The solo reference column must agree with the size-1 combos.
-        for (b, &solo) in solo_ipc.iter().enumerate() {
-            match co_ipc.get(&vec![b]) {
-                Some(row) if row[0].to_bits() == solo.to_bits() => {}
-                Some(row) => {
-                    return Err(TableError::Format(format!(
-                        "benchmark {b}: solo IPC {solo} disagrees with its size-1 combo {}",
-                        row[0]
-                    )))
+                combo.clear();
+                for _ in 0..len {
+                    let idx = cur.take_u32("combo index")? as usize;
+                    if idx >= n_bench {
+                        return Err(TableError::Format(format!(
+                            "combo {c} references benchmark {idx} of {n_bench}"
+                        )));
+                    }
+                    combo.push(idx);
                 }
-                None => {
-                    return Err(TableError::Format(format!(
-                        "benchmark {b} has no size-1 (solo) combo"
-                    )))
+                if !combo.windows(2).all(|w| w[0] <= w[1]) {
+                    return Err(TableError::Format(format!("combo {c} is not sorted")));
+                }
+                ipcs.clear();
+                for _ in 0..len {
+                    ipcs.push(cur.take_f64("slot IPC")?);
+                }
+                let global = rows
+                    .global_rank(&combo)
+                    .expect("a sorted in-range combo of size 1..=contexts has a rank");
+                if !rows.place(global, &ipcs) {
+                    return Err(TableError::Format(format!("combo {c} is a duplicate")));
                 }
             }
-        }
-        Ok(PerfTable::assemble(names, solo_ipc, contexts, co_ipc))
+            if cur.pos != payload.len() {
+                return Err(TableError::Format(format!(
+                    "{} trailing bytes after the combo list",
+                    payload.len() - cur.pos
+                )));
+            }
+            // The solo reference column must agree with the size-1 combos.
+            for (b, &solo) in solo_ipc.iter().enumerate() {
+                match rows.get(&[b]) {
+                    Some(row) if row[0].to_bits() == solo.to_bits() => {}
+                    Some(row) => {
+                        return Err(TableError::Format(format!(
+                            "benchmark {b}: solo IPC {solo} disagrees with its size-1 combo {}",
+                            row[0]
+                        )))
+                    }
+                    None => {
+                        return Err(TableError::Format(format!(
+                            "benchmark {b} has no size-1 (solo) combo"
+                        )))
+                    }
+                }
+            }
+            Ok(())
+        })
     }
 
     /// Writes the table to `path` in the documented format.
@@ -596,15 +599,11 @@ mod tests {
         // PartialEq on f64 is bit-for-bit here: no NaNs can occur (load
         // rejects non-finite values), so == means identical bit patterns.
         assert_eq!(table, loaded);
-        for (combo, ipcs) in &table.co_ipc {
-            let got = loaded.slot_ipcs(combo).unwrap();
-            for (a, b) in ipcs.iter().zip(got) {
-                assert_eq!(a.to_bits(), b.to_bits(), "combo {combo:?}");
-            }
-        }
-        for b in 0..table.names().len() {
-            assert_eq!(table.solo_ipc(b).to_bits(), loaded.solo_ipc(b).to_bits());
-        }
+        assert_eq!(
+            table.to_bytes(),
+            loaded.to_bytes(),
+            "rows and solos, bitwise"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

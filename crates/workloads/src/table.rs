@@ -8,7 +8,6 @@
 //! analyses consume (rates in weighted instructions per cycle: IPC divided
 //! by solo IPC).
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -93,58 +92,50 @@ pub enum WorkUnit {
 /// Per-slot IPCs of every coschedule of `K` jobs over a benchmark suite,
 /// plus solo reference IPCs.
 ///
-/// Keys are sorted benchmark-index vectors of length `K` (the machine's
-/// context count); per-slot IPCs are aligned with that sorted expansion.
+/// Keys are sorted benchmark-index vectors of length `1..=K` (`K` is the
+/// machine's context count); per-slot IPCs are aligned with that sorted
+/// expansion.
 ///
-/// Internally the rows live twice: in a `HashMap` (the (de)serialisation
-/// and equality boundary — [`PerfTable::to_bytes`] and
-/// [`PerfTable::recorded_combos`] iterate it in sorted order) and in a
-/// [`FlatIndex`] (the hot-path layout — every `slot_ipcs`/rate probe is
-/// O(size) rank arithmetic into dense arrays, no hashing, no allocation).
-#[derive(Debug, Clone)]
+/// Rows live once, in a [`FlatRows`] layout: every probe is O(size) rank
+/// arithmetic into dense arrays, with no hashing and no allocation. The
+/// sorted views ([`PerfTable::recorded_combos`], [`PerfTable::to_bytes`])
+/// walk it in ascending combo order.
+///
+/// Equality is over the contents: every constructor packs the rows in
+/// ascending combo order, so equal tables have equal layouts.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfTable {
     pub(crate) names: Vec<String>,
     pub(crate) solo_ipc: Vec<f64>,
     pub(crate) contexts: usize,
-    pub(crate) co_ipc: HashMap<Vec<usize>, Vec<f64>>,
-    pub(crate) flat: FlatIndex,
+    rows: FlatRows,
 }
 
-/// Equality is over the table *contents* (the serialised form); the flat
-/// index is derived data and deliberately excluded — its packing order must
-/// never influence whether two tables compare equal.
-impl PartialEq for PerfTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.names == other.names
-            && self.solo_ipc == other.solo_ipc
-            && self.contexts == other.contexts
-            && self.co_ipc == other.co_ipc
-    }
-}
+/// Marks a combo a sampled build did not record.
+const UNRECORDED: u32 = u32::MAX;
 
-/// Flat, rank-indexed storage for the hot-path probes of a [`PerfTable`].
+/// Flat, rank-indexed row store of a [`PerfTable`].
 ///
 /// The combo key space is the streamed enumeration of sizes `1..=contexts`
-/// (the [`CoscheduleIter`] order, sizes concatenated ascending) — exactly
+/// (the [`CoscheduleIter`] order, sizes concatenated ascending): exactly
 /// the index space [`PerfTable::build_sampled`] selections address. A
 /// combo's global index is `offsets[size - 1] + rank-in-stratum`, where the
 /// per-size rank comes from the [`CoscheduleRank`] perfect index, so a
 /// probe is O(size) integer arithmetic with zero allocation and zero
 /// hashing. `starts[global]` points into the packed `vals` array
-/// (`u32::MAX` marks combos a sampled build did not record).
-#[derive(Debug, Clone)]
-pub(crate) struct FlatIndex {
+/// ([`UNRECORDED`] marks combos a sampled build did not record).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct FlatRows {
     ranks: Vec<CoscheduleRank>,
     offsets: Vec<usize>,
     starts: Vec<u32>,
     vals: Vec<f64>,
 }
 
-impl FlatIndex {
-    /// Builds the index over recorded rows. Rows are packed into `vals` in
-    /// sorted-combo order (the [`PerfTable::recorded_combos`] order), so
-    /// identical tables always produce identical flat layouts.
-    fn build(n_benchmarks: usize, k: usize, co_ipc: &HashMap<Vec<usize>, Vec<f64>>) -> Self {
+impl FlatRows {
+    /// An empty store over the key space of sizes `1..=k` over
+    /// `n_benchmarks` benchmarks.
+    fn new(n_benchmarks: usize, k: usize) -> Self {
         let ranks: Vec<CoscheduleRank> = (1..=k)
             .map(|size| CoscheduleRank::new(n_benchmarks, size))
             .collect();
@@ -154,31 +145,29 @@ impl FlatIndex {
             offsets.push(total);
             total += rank.total();
         }
-        let mut rows: Vec<(&Vec<usize>, &Vec<f64>)> = co_ipc.iter().collect();
-        rows.sort_unstable_by_key(|&(combo, _)| combo);
-        let mut starts = vec![u32::MAX; total];
-        let mut vals = Vec::with_capacity(rows.iter().map(|&(c, _)| c.len()).sum());
-        let mut index = FlatIndex {
+        FlatRows {
             ranks,
             offsets,
-            starts: Vec::new(),
+            starts: vec![UNRECORDED; total],
             vals: Vec::new(),
-        };
-        for (combo, ipcs) in rows {
-            let global = index
-                .global_rank(combo)
-                .expect("recorded combos are sorted, sized 1..=contexts, in range");
-            starts[global] = u32::try_from(vals.len()).expect("flat table exceeds u32 offsets");
-            vals.extend_from_slice(ipcs);
         }
-        index.starts = starts;
-        index.vals = vals;
-        index
+    }
+
+    /// Records `ipcs` as the row at global index `global`. Returns `false`,
+    /// and records nothing, if that row is already recorded.
+    pub(crate) fn place(&mut self, global: usize, ipcs: &[f64]) -> bool {
+        if self.starts[global] != UNRECORDED {
+            return false;
+        }
+        self.starts[global] =
+            u32::try_from(self.vals.len()).expect("flat table exceeds u32 offsets");
+        self.vals.extend_from_slice(ipcs);
+        true
     }
 
     /// Global enumeration index of a sorted combo, or `None` if the combo
     /// is malformed (empty, oversized, unsorted, index out of range).
-    fn global_rank(&self, combo: &[usize]) -> Option<usize> {
+    pub(crate) fn global_rank(&self, combo: &[usize]) -> Option<usize> {
         let size = combo.len();
         if size == 0 || size > self.ranks.len() {
             return None;
@@ -187,15 +176,16 @@ impl FlatIndex {
         Some(self.offsets[size - 1] + rank)
     }
 
-    /// Per-slot IPCs for a sorted combo, if recorded.
-    fn get(&self, combo: &[usize]) -> Option<&[f64]> {
-        let global = self.global_rank(combo)?;
+    /// The row at global index `global` of the size-`size` stratum, if
+    /// recorded.
+    fn row(&self, global: usize, size: usize) -> Option<&[f64]> {
         let start = self.starts[global];
-        if start == u32::MAX {
-            return None;
-        }
-        let start = start as usize;
-        Some(&self.vals[start..start + combo.len()])
+        (start != UNRECORDED).then(|| &self.vals[start as usize..start as usize + size])
+    }
+
+    /// Per-slot IPCs for a sorted combo, if recorded.
+    pub(crate) fn get(&self, combo: &[usize]) -> Option<&[f64]> {
+        self.row(self.global_rank(combo)?, combo.len())
     }
 
     /// Per-slot IPCs for the size-`size` combo whose benchmark multiplicity
@@ -207,34 +197,93 @@ impl FlatIndex {
             return None;
         }
         let rank = self.ranks[size - 1].rank_with(count_of)?;
-        let start = self.starts[self.offsets[size - 1] + rank];
-        if start == u32::MAX {
-            return None;
+        self.row(self.offsets[size - 1] + rank, size)
+    }
+}
+
+/// Visits every sorted combo of sizes `1..=k` over `n_benchmarks`
+/// benchmarks in ascending order (lexicographic over the index vectors:
+/// `[0] < [0, 0] < [0, 1] < [1]`), the order of the SPT1 file and of
+/// [`PerfTable::recorded_combos`]. The walk is a pre-order traversal of
+/// the combo tree, in which a node's children extend it by one index no
+/// smaller than its last.
+fn walk_sorted(n_benchmarks: usize, k: usize, mut visit: impl FnMut(&[usize])) {
+    if n_benchmarks == 0 || k == 0 {
+        return;
+    }
+    let mut combo = vec![0];
+    loop {
+        visit(&combo);
+        if combo.len() < k {
+            combo.push(combo[combo.len() - 1]);
+            continue;
         }
-        let start = start as usize;
-        Some(&self.vals[start..start + size])
+        while combo.last() == Some(&(n_benchmarks - 1)) {
+            combo.pop();
+        }
+        match combo.last_mut() {
+            Some(last) => *last += 1,
+            None => return,
+        }
     }
 }
 
 impl PerfTable {
-    /// The one place a table is assembled: derives the flat hot-path index
-    /// from the recorded rows. Every construction site — simulated,
-    /// sampled, synthetic, and [`PerfTable::from_bytes`] — funnels through
-    /// here so the `HashMap` and the [`FlatIndex`] can never disagree.
+    /// The one place a table is assembled, by every constructor: `fill`
+    /// places the rows, in any order, into an empty [`FlatRows`] store (it
+    /// must record every size-1 row). They are then packed in ascending
+    /// combo order, so equal tables lay out alike however they were
+    /// built, and the solo column is read off the size-1 rows.
     pub(crate) fn assemble(
         names: Vec<String>,
-        solo_ipc: Vec<f64>,
         contexts: usize,
-        co_ipc: HashMap<Vec<usize>, Vec<f64>>,
-    ) -> Self {
-        let flat = FlatIndex::build(names.len(), contexts, &co_ipc);
-        PerfTable {
+        fill: impl FnOnce(&mut FlatRows) -> Result<(), TableError>,
+    ) -> Result<Self, TableError> {
+        let mut placed = FlatRows::new(names.len(), contexts);
+        fill(&mut placed)?;
+        let mut rows = FlatRows::new(names.len(), contexts);
+        rows.vals.reserve_exact(placed.vals.len());
+        walk_sorted(names.len(), contexts, |combo| {
+            let global = placed.global_rank(combo).expect("walked combos are valid");
+            if let Some(ipcs) = placed.row(global, combo.len()) {
+                rows.place(global, ipcs);
+            }
+        });
+        let solo_ipc = (0..names.len())
+            .map(|b| rows.get(&[b]).expect("every table records its solo runs")[0])
+            .collect();
+        Ok(PerfTable {
             names,
             solo_ipc,
             contexts,
-            co_ipc,
-            flat,
+            rows,
+        })
+    }
+
+    /// Checks the selection, streams the selected combos through `sim`
+    /// (see [`sweep_selected_combos`]) and assembles the rows, which carry
+    /// their enumeration index and so are placed without hashing.
+    fn swept<F>(
+        names: Vec<String>,
+        contexts: usize,
+        threads: usize,
+        sample: Option<&[usize]>,
+        sim: F,
+    ) -> Result<Self, TableError>
+    where
+        F: Fn(&[usize]) -> Result<Vec<f64>, TableError> + Sync,
+    {
+        let n = names.len();
+        if let Some(sample) = sample {
+            check_sample(n, contexts, sample)?;
         }
+        let swept = sweep_selected_combos(n, contexts, threads, sample, sim)?;
+        Self::assemble(names, contexts, |rows| {
+            for (index, ipcs) in &swept {
+                rows.place(*index, ipcs);
+            }
+            Ok(())
+        })
     }
 
     /// Simulates every coschedule of `machine.config().contexts()` jobs over
@@ -251,20 +300,7 @@ impl PerfTable {
         suite: &[BenchmarkProfile],
         threads: usize,
     ) -> Result<Self, TableError> {
-        let k = machine.config().contexts();
-        let results = sweep_combos(suite.len(), k, threads, |combo| {
-            let jobs: Vec<&BenchmarkProfile> = combo.iter().map(|&i| &suite[i]).collect();
-            machine.simulate(&jobs).map(|res| res.ipc)
-        })
-        .map_err(TableError::from)?;
-        let co_ipc: HashMap<Vec<usize>, Vec<f64>> = results.into_iter().collect();
-        let solo_ipc: Vec<f64> = (0..suite.len()).map(|b| co_ipc[&vec![b]][0]).collect();
-        Ok(PerfTable::assemble(
-            suite.iter().map(|p| p.name.clone()).collect(),
-            solo_ipc,
-            k,
-            co_ipc,
-        ))
+        Self::build_selected(machine, suite, threads, None)
     }
 
     /// Like [`PerfTable::build`], but simulates only the combos selected by
@@ -290,21 +326,21 @@ impl PerfTable {
         threads: usize,
         sample: &[usize],
     ) -> Result<Self, TableError> {
+        Self::build_selected(machine, suite, threads, Some(sample))
+    }
+
+    fn build_selected(
+        machine: &Machine,
+        suite: &[BenchmarkProfile],
+        threads: usize,
+        sample: Option<&[usize]>,
+    ) -> Result<Self, TableError> {
+        let names = suite.iter().map(|p| p.name.clone()).collect();
         let k = machine.config().contexts();
-        check_sample(suite.len(), k, sample)?;
-        let results = sweep_selected_combos(suite.len(), k, threads, Some(sample), |combo| {
+        Self::swept(names, k, threads, sample, |combo| {
             let jobs: Vec<&BenchmarkProfile> = combo.iter().map(|&i| &suite[i]).collect();
-            machine.simulate(&jobs).map(|res| res.ipc)
+            Ok(machine.simulate(&jobs)?.ipc)
         })
-        .map_err(TableError::from)?;
-        let co_ipc: HashMap<Vec<usize>, Vec<f64>> = results.into_iter().collect();
-        let solo_ipc: Vec<f64> = (0..suite.len()).map(|b| co_ipc[&vec![b]][0]).collect();
-        Ok(PerfTable::assemble(
-            suite.iter().map(|p| p.name.clone()).collect(),
-            solo_ipc,
-            k,
-            co_ipc,
-        ))
     }
 
     /// Builds a table from an analytic per-slot IPC model instead of the
@@ -363,13 +399,10 @@ impl PerfTable {
         if contexts == 0 {
             return Err(TableError::InvalidWorkload("no contexts".into()));
         }
-        if let Some(sample) = sample {
-            check_sample(names.len(), contexts, sample)?;
-        }
         // Same streamed sweep as the simulated build (one enumeration
         // contract, deterministic first-error reporting), just with the
         // analytic model as the "simulator".
-        let results = sweep_selected_combos(names.len(), contexts, 1, sample, |combo| {
+        Self::swept(names, contexts, 1, sample, |combo| {
             let ipcs = ipc_fn(combo);
             if ipcs.len() != combo.len() {
                 return Err(TableError::Rates(SymbiosisError::InvalidRates(format!(
@@ -384,10 +417,7 @@ impl PerfTable {
                 ))));
             }
             Ok(ipcs)
-        })?;
-        let co_ipc: HashMap<Vec<usize>, Vec<f64>> = results.into_iter().collect();
-        let solo_ipc: Vec<f64> = (0..names.len()).map(|b| co_ipc[&vec![b]][0]).collect();
-        Ok(PerfTable::assemble(names, solo_ipc, contexts, co_ipc))
+        })
     }
 
     /// Benchmark names, index-aligned with the suite used to build.
@@ -402,12 +432,16 @@ impl PerfTable {
 
     /// Number of coschedules recorded.
     pub fn len(&self) -> usize {
-        self.co_ipc.len()
+        self.rows
+            .starts
+            .iter()
+            .filter(|&&s| s != UNRECORDED)
+            .count()
     }
 
     /// True if no coschedules are recorded (cannot happen for valid builds).
     pub fn is_empty(&self) -> bool {
-        self.co_ipc.is_empty()
+        self.len() == 0
     }
 
     /// Solo (reference) IPC of benchmark `b`.
@@ -425,21 +459,26 @@ impl PerfTable {
     /// no allocation. Malformed keys (unsorted, oversized, out of range)
     /// read as unrecorded.
     pub fn slot_ipcs(&self, combo: &[usize]) -> Option<&[f64]> {
-        self.flat.get(combo)
+        self.rows.get(combo)
     }
 
     /// Every recorded `(sorted combo, per-slot IPCs)` pair, sorted by combo
-    /// (ascending index vectors). The deterministic iteration the `predict`
-    /// crate's sample extraction and the persisted file format both rely on
-    /// — the in-memory `HashMap` order never leaks out.
-    pub fn recorded_combos(&self) -> Vec<(&[usize], &[f64])> {
-        let mut rows: Vec<(&[usize], &[f64])> = self
-            .co_ipc
-            .iter()
-            .map(|(combo, ipcs)| (combo.as_slice(), ipcs.as_slice()))
-            .collect();
-        rows.sort_unstable_by_key(|&(combo, _)| combo);
-        rows
+    /// (ascending index vectors, a shorter prefix first): the order the
+    /// `predict` crate's sample extraction and the SPT1 file rely on.
+    pub fn recorded_combos(&self) -> Vec<(Vec<usize>, &[f64])> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_sorted(|combo, ipcs| out.push((combo.to_vec(), ipcs)));
+        out
+    }
+
+    /// Visits every recorded row in [`PerfTable::recorded_combos`] order
+    /// without allocating a combo per row.
+    pub(crate) fn for_each_sorted<'a>(&'a self, mut visit: impl FnMut(&[usize], &'a [f64])) {
+        walk_sorted(self.names.len(), self.contexts, |combo| {
+            if let Some(ipcs) = self.rows.get(combo) {
+                visit(combo, ipcs);
+            }
+        });
     }
 
     /// Converts a workload (sorted distinct benchmark indices) into the
@@ -481,21 +520,8 @@ impl PerfTable {
         }
         let n = types.len();
         let rates = WorkloadRates::build(n, self.contexts, |s| {
-            // Probe the flat layout by count vector — the local counts map
-            // to global benchmark multiplicities without materialising the
-            // expanded combo (`types` is sorted, so the sorted global combo
-            // is exactly the local runs in order).
             let counts = s.counts();
-            let size = counts.iter().sum::<u32>() as usize;
-            let ipcs = self
-                .flat
-                .get_counts(size, |b| {
-                    types.binary_search(&b).map_or(0, |local| counts[local])
-                })
-                .unwrap_or_else(|| {
-                    let combo: Vec<usize> = s.slots().iter().map(|&local| types[local]).collect();
-                    panic!("coschedule {combo:?} missing from table")
-                });
+            let ipcs = self.workload_row(types, counts);
             // Sum per local type over its (contiguous) slot run, in the
             // requested unit — same slot order, same float arithmetic as
             // the historical expanded-combo walk.
@@ -516,11 +542,30 @@ impl PerfTable {
         Ok(rates)
     }
 
+    /// Per-slot IPCs of the coschedule holding `counts[i]` jobs of each
+    /// `types[i]` (sorted distinct benchmarks), ranked straight from the
+    /// counts. Panics if that coschedule is not recorded.
+    fn workload_row(&self, types: &[usize], counts: &[u32]) -> &[f64] {
+        let size = counts.iter().sum::<u32>() as usize;
+        self.rows
+            .get_counts(size, |b| {
+                types.binary_search(&b).map_or(0, |local| counts[local])
+            })
+            .unwrap_or_else(|| {
+                let combo: Vec<usize> = types
+                    .iter()
+                    .zip(counts)
+                    .flat_map(|(&b, &c)| std::iter::repeat_n(b, c as usize))
+                    .collect();
+                panic!("coschedule {combo:?} missing from table")
+            })
+    }
+
     /// Raw WIPC of a recorded combination: sum over slots of
     /// `IPC / solo IPC` (the weighted-speedup-style instantaneous
     /// throughput of that coschedule).
     pub fn combo_wipc(&self, combo: &[usize]) -> Option<f64> {
-        let ipcs = self.flat.get(combo)?;
+        let ipcs = self.rows.get(combo)?;
         Some(
             combo
                 .iter()
@@ -547,39 +592,9 @@ impl PerfTable {
     }
 }
 
-/// Rows produced by the streamed combo sweep: one `(sorted combo,
-/// per-slot IPCs)` pair per multiset, in enumeration order.
-type ComboRows = Vec<(Vec<usize>, Vec<f64>)>;
-
-/// In-flight sweep rows, tagged with their enumeration index so the
-/// shared accumulator can be re-sorted deterministically.
-type IndexedComboRows = Vec<(usize, Vec<usize>, Vec<f64>)>;
-
-/// Streams every sorted combo of sizes 1..=`k` over `n_benchmarks`
-/// benchmarks (all multiset sizes: the latency experiments run through
-/// partially loaded periods, and size-1 entries double as the solo
-/// reference runs) through `sim` on up to `threads` OS threads.
-///
-/// Work distribution is self-balancing: workers claim the next combo index
-/// from a shared atomic cursor and advance a thread-local
-/// [`CoscheduleIter`] to it, so the combo list is never materialised and no
-/// thread idles on an uneven pre-cut chunk. Results are returned sorted in
-/// enumeration order — deterministic regardless of thread count.
-///
-/// # Errors
-///
-/// The *first* failure in enumeration order, as `(combo index, error)`.
-/// Deterministic by construction: workers check a shared abort flag only
-/// *between* simulations, so every combo claimed before the flag went up —
-/// which includes every combo preceding the first failure — is still
-/// simulated, and the smallest-indexed recorded error is reported.
-fn sweep_combos<E, F>(n_benchmarks: usize, k: usize, threads: usize, sim: F) -> Result<ComboRows, E>
-where
-    E: Send,
-    F: Fn(&[usize]) -> Result<Vec<f64>, E> + Sync,
-{
-    sweep_selected_combos(n_benchmarks, k, threads, None, sim)
-}
+/// Sweep rows: per-slot IPCs tagged with the combo's index in the streamed
+/// enumeration, which is also its global index in [`FlatRows`].
+type IndexedRows = Vec<(usize, Vec<f64>)>;
 
 /// Total combos in the streamed enumeration of sizes `1..=k` over
 /// `n_benchmarks` benchmarks — the index space [`PerfTable::build_sampled`]
@@ -618,20 +633,37 @@ fn check_sample(n_benchmarks: usize, k: usize, sample: &[usize]) -> Result<(), T
     Ok(())
 }
 
-/// [`sweep_combos`] with an optional combo selection: with
+/// Streams every sorted combo of sizes 1..=`k` over `n_benchmarks`
+/// benchmarks (all multiset sizes: the latency experiments run through
+/// partially loaded periods, and size-1 entries double as the solo
+/// reference runs) through `sim` on up to `threads` OS threads. With
 /// `Some(indices)` (sorted positions in the full enumeration) only those
-/// combos run through `sim`; with `None` the whole enumeration does. The
-/// claiming, abort and first-error machinery is shared, so a selection
-/// covering the full enumeration performs the identical computation in the
-/// identical order — the bitwise-degradation guarantee
-/// [`PerfTable::build_sampled`] documents.
+/// combos run; with `None` the whole enumeration does. The claiming, abort
+/// and first-error machinery is shared, so a selection covering the full
+/// enumeration performs the identical computation in the identical order:
+/// the bitwise-degradation guarantee [`PerfTable::build_sampled`]
+/// documents.
+///
+/// Work distribution is self-balancing: workers claim the next combo index
+/// from a shared atomic cursor and advance a thread-local
+/// [`CoscheduleIter`] to it, so the combo list is never materialised and no
+/// thread idles on an uneven pre-cut chunk. Rows are returned sorted by
+/// enumeration index — deterministic regardless of thread count.
+///
+/// # Errors
+///
+/// The *first* failure in enumeration order. Deterministic by
+/// construction: workers check a shared abort flag only *between*
+/// simulations, so every combo claimed before the flag went up — which
+/// includes every combo preceding the first failure — is still simulated,
+/// and the smallest-indexed recorded error is reported.
 fn sweep_selected_combos<E, F>(
     n_benchmarks: usize,
     k: usize,
     threads: usize,
     selection: Option<&[usize]>,
     sim: F,
-) -> Result<ComboRows, E>
+) -> Result<IndexedRows, E>
 where
     E: Send,
     F: Fn(&[usize]) -> Result<Vec<f64>, E> + Sync,
@@ -644,7 +676,7 @@ where
 
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let results: Mutex<IndexedComboRows> = Mutex::new(Vec::with_capacity(total));
+    let results: Mutex<IndexedRows> = Mutex::new(Vec::with_capacity(total));
     let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
@@ -652,7 +684,7 @@ where
             scope.spawn(|| {
                 let mut stream = (1..=k).flat_map(|size| CoscheduleIter::new(n_benchmarks, size));
                 let mut cursor = 0usize;
-                let mut local: IndexedComboRows = Vec::new();
+                let mut local: IndexedRows = Vec::new();
                 loop {
                     // Abort check between simulations only (never between
                     // claiming and simulating): see the determinism note.
@@ -677,7 +709,7 @@ where
                     let combo = stream.next().expect("index < enumeration length").slots();
                     cursor += 1;
                     match sim(&combo) {
-                        Ok(ipcs) => local.push((index, combo, ipcs)),
+                        Ok(ipcs) => local.push((index, ipcs)),
                         Err(e) => {
                             let mut first = first_error.lock().expect("poisoned");
                             if first.as_ref().is_none_or(|(i, _)| index < *i) {
@@ -698,11 +730,8 @@ where
         return Err(e);
     }
     let mut rows = results.into_inner().expect("poisoned");
-    rows.sort_unstable_by_key(|&(index, _, _)| index);
-    Ok(rows
-        .into_iter()
-        .map(|(_, combo, ipcs)| (combo, ipcs))
-        .collect())
+    rows.sort_unstable_by_key(|&(index, _)| index);
+    Ok(rows)
 }
 
 /// A borrowed view of a [`PerfTable`] restricted to one workload — the
@@ -726,25 +755,9 @@ impl RateModel for WorkloadView<'_> {
     fn per_job_rate(&self, counts: &[u32], ty: usize) -> f64 {
         assert_eq!(counts.len(), self.types.len(), "counts length mismatch");
         assert!(counts[ty] > 0, "type {ty} not present in coschedule");
-        // Zero-allocation probe: rank the combo directly from the count
-        // vector instead of materialising the expanded key. This is the
-        // latency simulator's innermost lookup.
-        let size = counts.iter().sum::<u32>() as usize;
-        let types = &self.types;
-        let ipcs = self
-            .table
-            .flat
-            .get_counts(size, |b| {
-                types.binary_search(&b).map_or(0, |local| counts[local])
-            })
-            .unwrap_or_else(|| {
-                let combo: Vec<usize> = counts
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(local, &c)| std::iter::repeat_n(types[local], c as usize))
-                    .collect();
-                panic!("coschedule {combo:?} missing from table")
-            });
+        // Zero-allocation probe, ranked straight from the count vector:
+        // this is the latency simulator's innermost lookup.
+        let ipcs = self.table.workload_row(&self.types, counts);
         let global = self.types[ty];
         // Mean WIPC over this type's slots (slots of the same type differ
         // only by their RNG stream). In the sorted expansion the type's
@@ -775,6 +788,18 @@ mod tests {
     use crate::spec::spec2006;
     use simproc::MachineConfig;
     use symbiosis::assert_rate_model_conformance;
+
+    /// Five synthetic benchmarks, and an analytic IPC model over them.
+    fn syn_names() -> Vec<String> {
+        (0..5).map(|b| format!("syn{b}")).collect()
+    }
+
+    fn syn_ipc(combo: &[usize]) -> Vec<f64> {
+        combo
+            .iter()
+            .map(|&b| (1.0 + b as f64 * 0.2) / combo.len() as f64)
+            .collect()
+    }
 
     /// A tiny suite + short windows so tests stay fast.
     fn tiny_table() -> PerfTable {
@@ -857,13 +882,12 @@ mod tests {
         let suite: Vec<BenchmarkProfile> = spec2006().into_iter().take(2).collect();
         let a = PerfTable::build(&machine, &suite, 1).unwrap();
         let b = PerfTable::build(&machine, &suite, 8).unwrap();
-        for (combo, ipcs) in &a.co_ipc {
-            assert_eq!(b.slot_ipcs(combo).unwrap(), ipcs.as_slice());
-        }
+        assert_eq!(a, b);
     }
 
     /// The streamed sweep visits exactly the multisets the old materialised
-    /// enumeration did, in the same order, for any thread count.
+    /// enumeration did, in the same order, for any thread count, and tags
+    /// each row with its enumeration index.
     #[test]
     fn sweep_combos_streams_the_full_enumeration_in_order() {
         let expected: Vec<Vec<usize>> = (1..=3)
@@ -871,9 +895,17 @@ mod tests {
             .map(|s| s.slots())
             .collect();
         for threads in [1, 2, 7, 64] {
-            let rows = sweep_combos::<String, _>(4, 3, threads, |combo| Ok(vec![1.0; combo.len()]))
-                .unwrap();
-            let combos: Vec<Vec<usize>> = rows.into_iter().map(|(c, _)| c).collect();
+            // Each row echoes its combo, so the rows spell out the visit.
+            let rows = sweep_selected_combos::<String, _>(4, 3, threads, None, |combo| {
+                Ok(combo.iter().map(|&b| b as f64).collect())
+            })
+            .unwrap();
+            let indices: Vec<usize> = rows.iter().map(|&(i, _)| i).collect();
+            assert_eq!(indices, (0..expected.len()).collect::<Vec<_>>());
+            let combos: Vec<Vec<usize>> = rows
+                .into_iter()
+                .map(|(_, echo)| echo.iter().map(|&b| b as usize).collect())
+                .collect();
             assert_eq!(combos, expected, "threads={threads}");
         }
     }
@@ -891,7 +923,7 @@ mod tests {
         let first_failing = expected.iter().find(|c| c.contains(&1)).unwrap().clone();
         for threads in [1, 3, 16] {
             for _ in 0..5 {
-                let err = sweep_combos::<Vec<usize>, _>(3, 4, threads, |combo| {
+                let err = sweep_selected_combos::<Vec<usize>, _>(3, 4, threads, None, |combo| {
                     if combo.contains(&1) {
                         Err(combo.to_vec())
                     } else {
@@ -912,7 +944,7 @@ mod tests {
         let total: usize = (1..=4)
             .map(|size| symbiosis::CoscheduleIter::count_total(6, size))
             .sum();
-        let _ = sweep_combos::<String, _>(6, 4, 2, |combo| {
+        let _ = sweep_selected_combos::<String, _>(6, 4, 2, None, |combo| {
             simulated.fetch_add(1, Ordering::Relaxed);
             if combo == [0] {
                 Err("boom".into())
@@ -931,14 +963,7 @@ mod tests {
 
     #[test]
     fn synthetic_table_feeds_the_analyses() {
-        let names: Vec<String> = (0..5).map(|b| format!("syn{b}")).collect();
-        let t = PerfTable::synthetic(names, 3, |combo| {
-            combo
-                .iter()
-                .map(|&b| (1.0 + b as f64 * 0.2) / combo.len() as f64)
-                .collect()
-        })
-        .unwrap();
+        let t = PerfTable::synthetic(syn_names(), 3, syn_ipc).unwrap();
         assert_eq!(t.contexts(), 3);
         // Sizes 1..=3 over 5 benchmarks: 5 + 15 + 35 multisets.
         assert_eq!(t.len(), 55);
@@ -1009,7 +1034,7 @@ mod tests {
         // Recorded rows agree with the full build on the selected combos.
         let full = PerfTable::build(&machine, &suite, 2).unwrap();
         for (combo, ipcs) in t.recorded_combos() {
-            assert_eq!(full.slot_ipcs(combo).unwrap(), ipcs);
+            assert_eq!(full.slot_ipcs(&combo).unwrap(), ipcs);
         }
         // Solo references are intact, so workload conversion works whenever
         // the needed combos are present.
@@ -1041,24 +1066,18 @@ mod tests {
 
     #[test]
     fn synthetic_sampled_matches_full_synthetic_on_selection() {
-        let names: Vec<String> = (0..5).map(|b| format!("syn{b}")).collect();
-        let ipc = |combo: &[usize]| -> Vec<f64> {
-            combo
-                .iter()
-                .map(|&b| (1.0 + b as f64 * 0.2) / combo.len() as f64)
-                .collect()
-        };
-        let full = PerfTable::synthetic(names.clone(), 3, ipc).unwrap();
+        let names = syn_names();
+        let full = PerfTable::synthetic(names.clone(), 3, syn_ipc).unwrap();
         let selection = vec![0, 1, 2, 3, 4, 6, 9, 17, 30, 44];
-        let sampled = PerfTable::synthetic_sampled(names.clone(), 3, &selection, ipc).unwrap();
+        let sampled = PerfTable::synthetic_sampled(names.clone(), 3, &selection, syn_ipc).unwrap();
         assert_eq!(sampled.len(), selection.len());
         for (combo, ipcs) in sampled.recorded_combos() {
-            assert_eq!(full.slot_ipcs(combo).unwrap(), ipcs);
+            assert_eq!(full.slot_ipcs(&combo).unwrap(), ipcs);
         }
         // Full-budget degradation holds for the synthetic path too.
         let total = full_enumeration_len(5, 3);
         let everything: Vec<usize> = (0..total).collect();
-        let exhaustive = PerfTable::synthetic_sampled(names, 3, &everything, ipc).unwrap();
+        let exhaustive = PerfTable::synthetic_sampled(names, 3, &everything, syn_ipc).unwrap();
         assert_eq!(exhaustive, full);
     }
 
@@ -1128,44 +1147,35 @@ mod tests {
         assert!(t.workload_view(&[0, 99]).is_err());
     }
 
-    /// The flat rank-indexed layout answers every probe exactly as the
-    /// hash map it mirrors, and unrecorded combos in a sampled table read
-    /// as `None` (the `u32::MAX` sentinel), not as garbage.
+    /// Every probe of the flat layout returns, bitwise, the row the
+    /// generating function produced for that combo: the simulator for a
+    /// built table, the analytic model for a sampled synthetic one, where
+    /// unrecorded combos read as `None` (the [`UNRECORDED`] sentinel).
     #[test]
-    fn flat_index_agrees_with_the_hash_map_rows() {
+    fn flat_rows_agree_with_the_generating_closure() {
+        let machine = Machine::new(MachineConfig::smt4().with_windows(2_000, 6_000)).unwrap();
+        let suite: Vec<BenchmarkProfile> = spec2006().into_iter().take(3).collect();
         let t = tiny_table();
-        for (combo, ipcs) in &t.co_ipc {
-            assert_eq!(t.slot_ipcs(combo).unwrap(), ipcs.as_slice());
+        for s in (1..=4).flat_map(|size| CoscheduleIter::new(3, size)) {
+            let jobs: Vec<&BenchmarkProfile> = s.slots().iter().map(|&i| &suite[i]).collect();
+            let simulated = machine.simulate(&jobs).unwrap().ipc;
+            assert_eq!(t.slot_ipcs(&s.slots()), Some(&simulated[..]), "{s:?}");
         }
-        let names: Vec<String> = (0..5).map(|b| format!("syn{b}")).collect();
-        let ipc = |combo: &[usize]| -> Vec<f64> {
-            combo
-                .iter()
-                .map(|&b| (1.0 + b as f64 * 0.2) / combo.len() as f64)
-                .collect()
-        };
-        let selection = vec![0, 1, 2, 3, 4, 6, 9, 17, 30, 44];
-        let sampled = PerfTable::synthetic_sampled(names.clone(), 3, &selection, ipc).unwrap();
-        let full = PerfTable::synthetic(names, 3, ipc).unwrap();
-        let mut hits = 0;
-        for (combo, ipcs) in full.recorded_combos() {
-            match sampled.slot_ipcs(combo) {
-                Some(got) => {
-                    hits += 1;
-                    assert_eq!(got, ipcs);
-                }
-                None => assert!(!sampled.co_ipc.contains_key(combo)),
-            }
+        let selection = [0, 1, 2, 3, 4, 6, 9, 17, 30, 44];
+        let sampled = PerfTable::synthetic_sampled(syn_names(), 3, &selection, syn_ipc).unwrap();
+        let combos = (1..=3).flat_map(|size| CoscheduleIter::new(5, size));
+        for (index, s) in combos.enumerate() {
+            let want = selection.contains(&index).then(|| syn_ipc(&s.slots()));
+            assert_eq!(sampled.slot_ipcs(&s.slots()), want.as_deref(), "{s:?}");
         }
-        assert_eq!(hits, selection.len());
     }
 
     #[test]
     fn combo_wipc_bounded_by_context_count() {
         // WIPC of any coschedule cannot exceed K (each job's WIPC <= 1).
         let t = tiny_table();
-        for combo in t.co_ipc.keys() {
-            let w = t.combo_wipc(combo).unwrap();
+        for (combo, _) in t.recorded_combos() {
+            let w = t.combo_wipc(&combo).unwrap();
             assert!(w > 0.0);
             assert!(w <= t.contexts() as f64 + 0.25, "WIPC {w} for {combo:?}");
         }
